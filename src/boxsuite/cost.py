@@ -164,26 +164,22 @@ def build_cost_matrix(
             raise DataError(f"locked box index {t} out of range")
 
     I_hat, J = packables.I_hat, len(boxes)
-    fitted = np.zeros((I_hat, J), dtype=np.float64)
-    row_max = np.zeros(I_hat)
+    C = np.zeros((I_hat + len(locked), J), dtype=np.float64)
+    fits = np.zeros((I_hat, J), dtype=np.bool_)
     for r, i in enumerate(packables.W):
         shipment = shipments[i]
-        best = 0.0
         for j in packables.fitting_boxes[i]:
             c = float(model.cost_for(shipment, boxes[j]))
             if not math.isfinite(c) or c < 0:
                 raise DataError(
                     f"cost model produced invalid cost {c!r} for shipment "
                     f"{shipment.id}, box {boxes[j].id}")
-            fitted[r, j] = c
-            best = max(best, c)
-        row_max[r] = best
-    gamma = float(row_max.sum()) + 1.0
-
-    C = np.full((I_hat + len(locked), J), gamma, dtype=np.float64)
-    for r, i in enumerate(packables.W):
-        js = list(packables.fitting_boxes[i])
-        C[r, js] = fitted[r, js]
+            C[r, j] = c
+            fits[r, j] = True
+    real = C[:I_hat]
+    gamma = float(real.max(axis=1, initial=0.0).sum()) + 1.0
+    real[~fits] = gamma
+    C[I_hat:] = gamma
     for f, t in enumerate(locked):
         C[I_hat + f, t] = 0.0
     ids = tuple(shipments[i].id for i in packables.W)

@@ -25,6 +25,7 @@ from boxsuite.pmedian import (
     SolveResult,
     Suite,
     check_feasible,
+    collapse_rows,
     extract_assignment,
     greedy_construct,
     local_search_interchange,
@@ -156,6 +157,8 @@ class RecommendOutcome:
     assignment: Optional[np.ndarray]
     packables: PackableSet
     message: str
+    rows: int = 0  # cost-matrix rows, lock rows included
+    distinct_rows: int = 0  # rows the solver saw after merging identical ones
 
     @property
     def feasible(self) -> bool:
@@ -182,8 +185,10 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
     """Pick the p-box suite minimizing total assignment cost.
 
     Stages: nest-aware fit scan (skipped when a precomputed fit matrix is
-    supplied), cost matrix with lock penalties, the configured solver,
-    feasibility check against the penalty level, and the packing report.
+    supplied), cost matrix with lock penalties, the configured solver on the
+    matrix's distinct rows (identical rows merged into one weighted customer,
+    which changes no objective), feasibility check against the penalty level,
+    and the packing report.
     An empty suite is a legitimate outcome: it means no p-subset containing
     the locked boxes covers every packable shipment.
     """
@@ -215,22 +220,24 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
         if run.out_dir is not None:
             write_outputs(outcome, run, boxes, run.out_dir)
         return outcome
-    inst = PMedianInstance(cm.C, run.p)
+    inst, rows = collapse_rows(cm.C, run.p)
     result = _dispatch(inst, run)
     suite = check_feasible(result, cm.gamma)
     if suite is None:
         outcome = RecommendOutcome(
             suite=None, box_ids=(), report=None, result=result, gamma=cm.gamma,
-            assignment=None, packables=packables, message=NO_FEASIBLE_MESSAGE)
+            assignment=None, packables=packables, message=NO_FEASIBLE_MESSAGE,
+            rows=cm.C.shape[0], distinct_rows=inst.n)
     else:
-        assignment = extract_assignment(inst, suite)[: cm.n_real]
+        assignment = extract_assignment(inst, suite)[rows[: cm.n_real]]
         report = _build_report(shipments, packables, boxes, suite, assignment,
                                result, run.method)
         ids = tuple(boxes.boxes[j].id for j in suite.members)
         outcome = RecommendOutcome(
             suite=suite, box_ids=ids, report=report, result=result,
             gamma=cm.gamma, assignment=assignment, packables=packables,
-            message=f"selected {len(ids)} boxes, objective {_fmt(result.cost)}")
+            message=f"selected {len(ids)} boxes, objective {_fmt(result.cost)}",
+            rows=cm.C.shape[0], distinct_rows=inst.n)
     if run.out_dir is not None:
         write_outputs(outcome, run, boxes, run.out_dir)
     return outcome
@@ -277,6 +284,8 @@ def write_outputs(outcome: RecommendOutcome, run: RunConfig, boxes: BoxSet,
         "method": run.method,
         "locked": list(run.locked_ids),
         "gamma": outcome.gamma,
+        "rows": outcome.rows,
+        "distinct_rows": outcome.distinct_rows,
         "objective": outcome.result.cost if outcome.feasible else None,
         "lower_bound": outcome.result.lower_bound,
         "gap": outcome.result.gap,

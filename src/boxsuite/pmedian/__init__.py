@@ -5,17 +5,17 @@ from boxsuite.pmedian.instance import (
     SolveResult,
     Suite,
     check_feasible,
+    collapse_rows,
     extract_assignment,
     save_result_json,
     solve_exact,
     suite_cost,
 )
 from boxsuite.pmedian.interchange import closest_two, local_search_interchange
-from boxsuite.pmedian.kernels import BACKENDS, active_backend
+from boxsuite.pmedian.kernels import active_backend
 from boxsuite.pmedian.lagrangian import LagrangianParams, dual_value, solve_lagrangian
 
 __all__ = [
-    "BACKENDS",
     "GraspParams",
     "LagrangianParams",
     "PMedianInstance",
@@ -23,6 +23,7 @@ __all__ = [
     "Suite",
     "active_backend",
     "check_feasible",
+    "collapse_rows",
     "closest_two",
     "dual_value",
     "extract_assignment",

@@ -38,7 +38,7 @@ def greedy_construct(inst: PMedianInstance, rng: np.random.Generator,
     members: list[int] = []
     d1 = np.full(inst.n, np.inf)
     for _ in range(inst.p):
-        totals = kernels.greedy_augment_costs(inst.d, d1)
+        totals = kernels.greedy_augment_costs(inst.d, d1, inst.w)
         totals[members] = np.inf
         finite = np.isfinite(totals)
         best = totals[finite].min()

@@ -15,6 +15,7 @@ from boxsuite.model import DataError
 __all__ = [
     "PMedianInstance",
     "Suite",
+    "collapse_rows",
     "SolveResult",
     "suite_cost",
     "extract_assignment",
@@ -46,9 +47,13 @@ class Suite:
 
 
 class PMedianInstance:
-    """n customers, m facilities, open p, nonnegative cost matrix d."""
+    """n customers, m facilities, open p, nonnegative cost matrix d.
 
-    def __init__(self, d: np.ndarray, p: int):
+    Customer i carries weight w[i] (default 1): it counts as w[i] customers
+    with identical costs in every total over customers.
+    """
+
+    def __init__(self, d: np.ndarray, p: int, w: Optional[np.ndarray] = None):
         d = np.ascontiguousarray(np.asarray(d, dtype=np.float64))
         if d.ndim != 2 or d.size == 0:
             raise DataError("cost matrix must be 2-D and nonempty")
@@ -59,6 +64,14 @@ class PMedianInstance:
         if not 1 <= p <= self.m:
             raise DataError(f"p must be in 1..{self.m}, got {p}")
         self.p = int(p)
+        if w is None:
+            w = np.ones(self.n)
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.n,):
+            raise DataError(f"weights must be a vector of {self.n} entries")
+        if not np.isfinite(w).all() or (w <= 0).any():
+            raise DataError("weights must be finite and positive")
+        self.w = w
 
     def suite(self, members) -> Suite:
         s = Suite(members)
@@ -83,8 +96,32 @@ class SolveResult:
                 raise DataError("gap must be nonnegative")
 
 
+def collapse_rows(d: np.ndarray, p: int) -> tuple[PMedianInstance, np.ndarray]:
+    """Instance on the distinct rows of d, each weighted by its multiplicity,
+    and the map from every row of d to its distinct row.
+
+    Distinct rows keep their first-occurrence order. Rows are matched by
+    their bytes through a hash table, in O(n*m); merging identical customers
+    changes no total over customers, so every solver returns the same suite.
+    """
+    d = np.ascontiguousarray(np.asarray(d, dtype=np.float64))
+    first: dict[bytes, int] = {}
+    keep: list[int] = []
+    rows = np.empty(d.shape[0], dtype=np.int64)
+    for i, row in enumerate(d):
+        key = row.tobytes()
+        r = first.get(key)
+        if r is None:
+            r = first[key] = len(keep)
+            keep.append(i)
+        rows[i] = r
+    w = np.bincount(rows).astype(np.float64)
+    distinct = d if len(keep) == len(d) else d[keep]  # no copy without duplicates
+    return PMedianInstance(distinct, p, w), rows
+
+
 def suite_cost(inst: PMedianInstance, suite: Suite) -> float:
-    return float(inst.d[:, suite.members].min(axis=1).sum())
+    return float((inst.d[:, suite.members].min(axis=1) * inst.w).sum())
 
 
 def extract_assignment(inst: PMedianInstance, suite: Suite) -> np.ndarray:
@@ -116,11 +153,11 @@ def solve_exact(inst: PMedianInstance, max_subsets: int = 200_000,
         raise DataError(
             f"exact enumeration over {n_subsets} subsets (m={inst.m}) exceeds the "
             f"budget; use the interchange, GRASP, or Lagrangian solvers instead")
-    d = inst.d
+    d, w = inst.d, inst.w
     best_cost = math.inf
     best: Optional[tuple[int, ...]] = None
     for S in itertools.combinations(range(inst.m), inst.p):
-        total = float(d[:, S].min(axis=1).sum())
+        total = float((d[:, S].min(axis=1) * w).sum())
         if total < best_cost - 1e-12:
             best_cost, best = total, S
     assert best is not None

@@ -47,11 +47,11 @@ def local_search_interchange(inst: PMedianInstance, start: Suite,
     for _ in range(max_iters):
         suite = Suite(members)
         d1, d2, c1 = closest_two(inst, suite)
-        total = float(d1.sum())
+        total = float((d1 * inst.w).sum())
         threshold = _REL_EPS * (1.0 + abs(total))
         delta, b, a = kernels.best_swap(
             inst.d, mask, np.asarray(members, dtype=np.int64), c1, d1, d2,
-            first, threshold)
+            first, threshold, inst.w)
         if b < 0 or delta >= -threshold:
             return SolveResult(suite=suite, cost=total)
         mask[a] = False

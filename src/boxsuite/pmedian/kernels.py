@@ -1,38 +1,43 @@
-"""Hot inner loops of the p-median solvers, in two interchangeable backends.
+"""Hot inner loops of the p-median solvers, as chunked numpy expressions.
 
-The jitted backend compiles the swap scan, greedy augmentation, and dual
-reduction with numba; the numpy backend computes the same quantities with
-chunked array expressions. Semantics are identical, including tie-breaking
-(lowest inserted facility, then lowest removed facility) and the
-first-improvement walk order, so backends may be swapped freely. Selection:
-the environment variable BOXSUITE_NO_NUMBA forces numpy; otherwise numba is
-used when importable.
+Every kernel takes the cost matrix d (n customers x m facilities) first and
+the customer weights w (one positive weight per row) last. A row of weight k
+counts as k identical customers: each per-row term is multiplied by its
+weight before the reduction over rows, so on integer-valued costs the result
+equals the unweighted kernel on the matrix with every row repeated.
 
 The swap scan evaluates all p*(m-p) single swaps in O(n*m) by splitting each
 insertion's effect into a suite-independent gain (customers the new facility
 captures) and a per-removal correction accumulated over the customers whose
-closest facility is being removed.
+closest facility is being removed (Resende & Werneck, 2007). Ties go to the
+lowest inserted facility, then the lowest removed facility.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKENDS", "active_backend", "best_swap", "greedy_augment_costs", "rho"]
+__all__ = ["active_backend", "best_swap", "greedy_augment_costs", "rho"]
 
 _CHUNK = 256
 
 
-# -- numpy backend ---------------------------------------------------------------
+def active_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-def _best_swap_numpy(d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold):
+def best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold, w):
+    """Best (or first improving) single swap for the current suite.
+
+    Returns (delta, inserted, removed); delta is the cost change of the best
+    swap found, (-1, -1) facilities when the suite spans all of them.
+    """
     n, m = d.shape
     p = suite_idx.shape[0]
     pos = np.full(m, -1, dtype=np.int64)
     pos[suite_idx] = np.arange(p)
     c1pos = pos[c1]
+    wcol = w[:, None]
     best_delta, best_b, best_a = 0.0, -1, -1
     have_best = False
     for start in range(0, m, _CHUNK):
@@ -42,12 +47,12 @@ def _best_swap_numpy(d, suite_mask, suite_idx, c1, d1, d2, first_improve, thresh
             continue
         D = d[:, cols]
         capture = d1[:, None] - D
-        w = np.where(capture > 0.0, capture, 0.0).sum(axis=0)
+        gain = (np.where(capture > 0.0, capture, 0.0) * wcol).sum(axis=0)
         Z = np.where(D >= d1[:, None], np.minimum(d2[:, None], D) - d1[:, None], 0.0)
         corr = np.zeros((p, cols.size))
-        np.add.at(corr, c1pos, Z)
+        np.add.at(corr, c1pos, Z * wcol)
         a_pos = corr.argmin(axis=0)  # first occurrence = lowest removed facility
-        delta = -w + corr[a_pos, np.arange(cols.size)]
+        delta = -gain + corr[a_pos, np.arange(cols.size)]
         for k in range(cols.size):
             dk = float(delta[k])
             if not have_best or dk < best_delta:
@@ -58,131 +63,25 @@ def _best_swap_numpy(d, suite_mask, suite_idx, c1, d1, d2, first_improve, thresh
     return best_delta, best_b, best_a
 
 
-def _greedy_augment_numpy(d, d1):
+def greedy_augment_costs(d, d1, w):
+    """Total assignment cost after adding each facility to the current partial
+    suite whose per-customer best costs are d1."""
     m = d.shape[1]
+    wcol = w[:, None]
     out = np.empty(m)
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
-        out[start:stop] = np.minimum(d[:, start:stop], d1[:, None]).sum(axis=0)
+        out[start:stop] = (np.minimum(d[:, start:stop], d1[:, None]) * wcol).sum(axis=0)
     return out
 
 
-def _rho_numpy(d, lam):
+def rho(d, lam, w):
+    """Per-facility reduced-cost sums w_i * min(0, d_ij - lam_i) of the dual."""
     m = d.shape[1]
+    wcol = w[:, None]
     out = np.empty(m)
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
         red = d[:, start:stop] - lam[:, None]
-        out[start:stop] = np.where(red < 0.0, red, 0.0).sum(axis=0)
+        out[start:stop] = (np.where(red < 0.0, red, 0.0) * wcol).sum(axis=0)
     return out
-
-
-BACKENDS: dict[str, dict] = {
-    "numpy": {
-        "best_swap": _best_swap_numpy,
-        "greedy_augment_costs": _greedy_augment_numpy,
-        "rho": _rho_numpy,
-    }
-}
-
-
-# -- numba backend -----------------------------------------------------------------
-
-try:  # pragma: no cover - exercised indirectly via backend selection
-    if os.environ.get("BOXSUITE_NO_NUMBA"):
-        raise ImportError("numba disabled by BOXSUITE_NO_NUMBA")
-    from numba import njit
-
-    @njit(cache=True)
-    def _best_swap_numba(d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold):
-        n, m = d.shape
-        p = suite_idx.shape[0]
-        pos = np.full(m, -1, dtype=np.int64)
-        for t in range(p):
-            pos[suite_idx[t]] = t
-        best_delta = 0.0
-        best_b = -1
-        best_a = -1
-        have_best = False
-        corr = np.empty(p)
-        for b in range(m):
-            if suite_mask[b]:
-                continue
-            w = 0.0
-            for t in range(p):
-                corr[t] = 0.0
-            for i in range(n):
-                dib = d[i, b]
-                if dib < d1[i]:
-                    w += d1[i] - dib
-                else:
-                    z = d2[i] if d2[i] < dib else dib
-                    corr[pos[c1[i]]] += z - d1[i]
-            a_pos = 0
-            for t in range(1, p):
-                if corr[t] < corr[a_pos]:
-                    a_pos = t
-            delta = -w + corr[a_pos]
-            if not have_best or delta < best_delta:
-                best_delta = delta
-                best_b = b
-                best_a = suite_idx[a_pos]
-                have_best = True
-            if first_improve and delta < -threshold:
-                return delta, b, suite_idx[a_pos]
-        return best_delta, best_b, best_a
-
-    @njit(cache=True)
-    def _greedy_augment_numba(d, d1):
-        n, m = d.shape
-        out = np.zeros(m)
-        for i in range(n):
-            for j in range(m):
-                v = d[i, j]
-                out[j] += v if v < d1[i] else d1[i]
-        return out
-
-    @njit(cache=True)
-    def _rho_numba(d, lam):
-        n, m = d.shape
-        out = np.zeros(m)
-        for i in range(n):
-            for j in range(m):
-                red = d[i, j] - lam[i]
-                if red < 0.0:
-                    out[j] += red
-        return out
-
-    BACKENDS["numba"] = {
-        "best_swap": _best_swap_numba,
-        "greedy_augment_costs": _greedy_augment_numba,
-        "rho": _rho_numba,
-    }
-    _ACTIVE = "numba"
-except ImportError:
-    _ACTIVE = "numpy"
-
-
-def active_backend() -> str:
-    return _ACTIVE
-
-
-def best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold):
-    """Best (or first improving) single swap for the current suite.
-
-    Returns (delta, inserted, removed); delta is the cost change of the best
-    swap found, (-1, -1) facilities when the suite spans all of them.
-    """
-    return BACKENDS[_ACTIVE]["best_swap"](
-        d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold)
-
-
-def greedy_augment_costs(d, d1):
-    """Total assignment cost after adding each facility to the current partial
-    suite whose per-customer best costs are d1."""
-    return BACKENDS[_ACTIVE]["greedy_augment_costs"](d, d1)
-
-
-def rho(d, lam):
-    """Per-facility reduced-cost sums min(0, d_ij - lam_i) of the dual."""
-    return BACKENDS[_ACTIVE]["rho"](d, lam)

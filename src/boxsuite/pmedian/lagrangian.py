@@ -35,12 +35,13 @@ def dual_value(inst: PMedianInstance, lam: np.ndarray) -> tuple[float, np.ndarra
     """Dual objective at multipliers lam and the open-facility index set.
 
     Relaxing the one-facility-per-row constraints leaves a separable problem:
-    each facility contributes rho_j = sum_i min(0, d_ij - lam_i) if opened, so
-    the p cheapest contributions are opened (stable order on ties).
+    each facility contributes rho_j = sum_i w_i min(0, d_ij - lam_i) if opened,
+    so the p cheapest contributions are opened (stable order on ties). Row i
+    stands for w_i identical customers sharing the multiplier lam_i.
     """
-    rho = kernels.rho(inst.d, lam)
+    rho = kernels.rho(inst.d, lam, inst.w)
     open_idx = np.argsort(rho, kind="stable")[: inst.p]
-    value = float(rho[open_idx].sum() + lam.sum())
+    value = float(rho[open_idx].sum() + (lam * inst.w).sum())
     return value, open_idx
 
 
@@ -87,7 +88,9 @@ def solve_lagrangian(inst: PMedianInstance,
         # exactly the columns whose min(0, d_ij - lam_i) term went negative.
         sub = inst.d[:, open_idx]
         g = 1.0 - (sub < lam[:, None]).sum(axis=1)
-        norm_sq = float(g @ g)
+        # Each of row i's w_i customers has subgradient entry g_i, so the norm
+        # counts g_i^2 w_i times: the step is the repeated-row instance's step.
+        norm_sq = float((g * inst.w) @ g)
         if norm_sq == 0.0:
             # The relaxed solution satisfies every row constraint, so the dual
             # value is also the cost of a primal solution: no gap remains.

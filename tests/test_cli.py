@@ -110,6 +110,29 @@ class TestRecommend:
         assert "lower bound" in text
         assert "optimality gap" in text
 
+    def test_suite_json_records_row_counts(self, tmp_path):
+        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(2, 2, 2)),
+                        CandidateBox(id=2, inner=Dims3(4, 3, 2)),
+                        CandidateBox(id=3, inner=Dims3(6, 4, 3))])
+        shipments = [Shipment(id=20, cartons=(Carton(Dims3(2, 2, 2)),)),
+                     Shipment(id=21, cartons=(Carton(Dims3(2, 2, 2)),)),
+                     Shipment(id=22, cartons=(Carton(Dims3(4, 3, 2)),))]
+        bpath, spath = tmp_path / "b.csv", tmp_path / "s.csv"
+        save_boxes(boxes, bpath)
+        save_shipments(shipments, spath)
+        fit = tmp_path / "fit.csv"
+        assert main(["fit", "--boxes", str(bpath), "--shipments", str(spath),
+                     "--out", str(fit)]) == 0
+        assert main(["recommend", "--fit", str(fit), "--boxes", str(bpath),
+                     "--shipments", str(spath), "-p", "2", "--lock", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+        payload = json.loads((tmp_path / "run" / "suite.json").read_text())
+        # three shipment rows plus one lock row; shipments 20 and 21 share one
+        assert payload["rows"] == 4
+        assert payload["distinct_rows"] == 3
+        assert [e["id"] for e in payload["suite"]] == [2, 3]
+        assert payload["objective"] == 3 * 24
+
     def test_infeasible_still_exits_0(self, tmp_path, capsys):
         boxes = BoxSet([CandidateBox(id=1, inner=Dims3(10, 1, 1)),
                         CandidateBox(id=2, inner=Dims3(3, 3, 3))])

@@ -161,6 +161,24 @@ class TestRecommend:
         assert [e["id"] for e in payload["suite"]] == list(out.box_ids)
         assert payload["gamma"] == out.gamma
 
+    @pytest.mark.parametrize("method", ["exact", "grasp", "lagrangian"])
+    def test_repeated_orders_scale_objective_only(self, tiny, method):
+        # Each order three times under fresh ids: the solver sees the same
+        # distinct rows with three times the weight.
+        boxes, shipments = tiny
+        k = 3
+        repeated = [Shipment(id=100 * c + s.id, cartons=s.cartons)
+                    for c in range(1, k + 1) for s in shipments]
+        base = recommend(RunConfig(p=2, method=method), shipments, boxes)
+        rep = recommend(RunConfig(p=2, method=method), repeated, boxes)
+        assert rep.box_ids == base.box_ids
+        assert rep.result.cost == pytest.approx(k * base.result.cost, rel=1e-12)
+        assert (rep.rows, rep.distinct_rows) == (k * base.rows, base.distinct_rows)
+        for a, b in zip(rep.report.lines, base.report.lines):
+            assert a.pct_shipments == b.pct_shipments
+            assert a.pct_void == b.pct_void
+        assert rep.report.pct_void_total == base.report.pct_void_total
+
     def test_deterministic_for_fixed_seed(self, tiny):
         boxes, shipments = tiny
         runs = [recommend(RunConfig(p=2, method="grasp"), shipments, boxes)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from boxsuite.model import DataError
 from boxsuite.pmedian import (
-    BACKENDS,
     GraspParams,
     LagrangianParams,
     PMedianInstance,
     Suite,
     check_feasible,
     closest_two,
+    collapse_rows,
     dual_value,
     extract_assignment,
     greedy_construct,
@@ -25,6 +25,7 @@ from boxsuite.pmedian import (
     solve_lagrangian,
     suite_cost,
 )
+from boxsuite.pmedian import kernels
 from boxsuite.pmedian.instance import SolveResult
 
 # Worked three-row example: facility 0 serves rows 0 and 2 cheaply.
@@ -170,7 +171,7 @@ class TestKernels:
         rng = np.random.default_rng(11)
         for _ in range(20):
             inst, suite, state = self._random_state(rng)
-            delta, b, a = BACKENDS["numpy"]["best_swap"](*state, False, 1e-9)
+            delta, b, a = kernels.best_swap(*state, False, 1e-9, inst.w)
             base = suite_cost(inst, suite)
             exhaustive = None
             for bb in range(inst.m):
@@ -187,21 +188,97 @@ class TestKernels:
                 assert suite_cost(inst, Suite(trial)) - base == pytest.approx(
                     exhaustive[0], abs=1e-7)
 
-    @pytest.mark.skipif("numba" not in BACKENDS, reason="numba unavailable")
-    def test_backends_pick_identical_swaps(self):
-        rng = np.random.default_rng(3)
-        for _ in range(15):
-            inst, suite, state = self._random_state(rng)
-            out_np = BACKENDS["numpy"]["best_swap"](*state, False, 1e-9)
-            out_nb = BACKENDS["numba"]["best_swap"](*state, False, 1e-9)
-            assert out_np[1] == out_nb[1] and out_np[2] == out_nb[2]
-            assert out_np[0] == pytest.approx(out_nb[0], abs=1e-9)
-            lam = rng.uniform(0.0, 60.0, size=inst.n)
-            assert np.allclose(BACKENDS["numpy"]["rho"](state[0], lam),
-                               BACKENDS["numba"]["rho"](state[0], lam))
-            assert np.allclose(
-                BACKENDS["numpy"]["greedy_augment_costs"](state[0], state[4]),
-                BACKENDS["numba"]["greedy_augment_costs"](state[0], state[4]))
+
+class TestRowWeights:
+    """A row of integer weight k against the same row repeated k times.
+
+    Costs and weights are integers, so every weighted total is exact and the
+    weighted solvers must return exactly what they return on the expanded
+    matrix.
+    """
+
+    def _pair(self, rng):
+        n = int(rng.integers(3, 15))
+        m = int(rng.integers(3, 9))
+        p = int(rng.integers(1, m))
+        d = rng.integers(0, 60, size=(n, m)).astype(np.float64)
+        w = rng.integers(1, 5, size=n)
+        return PMedianInstance(d, p, w), PMedianInstance(np.repeat(d, w, axis=0), p)
+
+    def _swap_state(self, inst, suite):
+        d1, d2, c1 = closest_two(inst, suite)
+        mask = np.zeros(inst.m, dtype=bool)
+        mask[list(suite.members)] = True
+        return (inst.d, mask, np.array(suite.members, dtype=np.int64), c1, d1, d2)
+
+    def test_kernels_match_expanded_matrix(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            weighted, expanded = self._pair(rng)
+            w = weighted.w.astype(np.int64)
+            suite = Suite(sorted(rng.choice(weighted.m, size=weighted.p,
+                                            replace=False).tolist()))
+            for first in (False, True):
+                assert kernels.best_swap(
+                    *self._swap_state(weighted, suite), first, 1e-9, weighted.w
+                ) == kernels.best_swap(
+                    *self._swap_state(expanded, suite), first, 1e-9, expanded.w)
+            d1 = weighted.d[:, list(suite.members)].min(axis=1)
+            for start in (np.full(weighted.n, np.inf), d1):
+                assert np.array_equal(
+                    kernels.greedy_augment_costs(weighted.d, start, weighted.w),
+                    kernels.greedy_augment_costs(expanded.d, np.repeat(start, w),
+                                                 expanded.w))
+            lam = rng.integers(0, 70, size=weighted.n).astype(np.float64)
+            assert np.array_equal(kernels.rho(weighted.d, lam, weighted.w),
+                                  kernels.rho(expanded.d, np.repeat(lam, w),
+                                              expanded.w))
+
+    def test_solvers_match_expanded_matrix(self):
+        rng = np.random.default_rng(43)
+        for t in range(15):
+            weighted, expanded = self._pair(rng)
+            start = Suite(range(weighted.p))
+            params = GraspParams(iterations=4, elite_size=3, seed=t)
+            for solve in (solve_exact,
+                          lambda inst: local_search_interchange(inst, start),
+                          lambda inst: solve_grasp(inst, params)):
+                a, b = solve(weighted), solve(expanded)
+                assert a.suite == b.suite
+                assert a.cost == b.cost
+
+    def test_lagrangian_follows_expanded_trajectory(self):
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            weighted, expanded = self._pair(rng)
+            a, b = solve_lagrangian(weighted), solve_lagrangian(expanded)
+            assert len(a.bound_trace) == len(b.bound_trace)
+            assert a.lower_bound == pytest.approx(b.lower_bound, rel=1e-9)
+
+    def test_collapse_merges_identical_rows_in_first_order(self):
+        d = np.array([[3.0, 1.0], [2.0, 2.0], [3.0, 1.0], [5.0, 0.0], [2.0, 2.0],
+                      [3.0, 1.0]])
+        inst, rows = collapse_rows(d, p=1)
+        assert inst.d.tolist() == [[3.0, 1.0], [2.0, 2.0], [5.0, 0.0]]
+        assert inst.w.tolist() == [3.0, 2.0, 1.0]
+        assert rows.tolist() == [0, 1, 0, 2, 1, 0]
+        assert np.array_equal(inst.d[rows], d)
+        assert solve_exact(inst).cost == solve_exact(PMedianInstance(d, p=1)).cost
+
+    def test_default_weights_are_ones(self):
+        assert PMedianInstance(D_SMALL, p=1).w.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("w", [
+        [1.0, 2.0],                  # wrong length
+        [[1.0, 1.0, 1.0]],           # wrong shape
+        [1.0, np.nan, 1.0],          # not finite
+        [1.0, np.inf, 1.0],          # not finite
+        [1.0, 0.0, 1.0],             # not positive
+        [1.0, -2.0, 1.0],            # not positive
+    ])
+    def test_invalid_weights_rejected(self, w):
+        with pytest.raises(DataError):
+            PMedianInstance(D_SMALL, p=1, w=np.array(w))
 
 
 class TestGrasp:
