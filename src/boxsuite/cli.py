@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -231,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boxsuite",
         description="Recommend a suite of shipping boxes from packing "
                     "feasibility and assignment costs.")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error (exit 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="compute the shipment/box fit matrix")
@@ -308,7 +311,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -38,6 +38,13 @@ __all__ = [
 
 
 class CostModel(Protocol):
+    """Cost of shipping one order in one box.
+
+    A model whose cost depends on the box alone may also define
+    ``box_costs(boxes) -> np.ndarray``, one cost per box (NaN where it has
+    none); ``build_cost_matrix`` then fills whole rows at once.
+    """
+
     model_id: str
 
     def cost_for(self, shipment: Shipment, box: CandidateBox) -> float: ...
@@ -50,6 +57,9 @@ class InnerVolumeCost:
 
     def cost_for(self, shipment: Shipment, box: CandidateBox) -> float:
         return box.volume
+
+    def box_costs(self, boxes: BoxSet) -> np.ndarray:
+        return boxes.volumes.copy()
 
 
 class BoxTableCost:
@@ -65,6 +75,10 @@ class BoxTableCost:
             return self.table[box.id]
         except KeyError as exc:
             raise DataError(f"cost table has no entry for box {box.id}") from exc
+
+    def box_costs(self, boxes: BoxSet) -> np.ndarray:
+        return np.array([self.table.get(bx.id, np.nan) for bx in boxes.boxes],
+                        dtype=np.float64)
 
 
 class PairTableCost:
@@ -152,7 +166,9 @@ def build_cost_matrix(
     Model costs must be nonnegative and finite; under that precondition no
     fitting entry can reach the penalty (the penalty exceeds the sum of all
     per-row maxima), so the sub-penalty structure the coverage argument needs
-    holds by construction.
+    holds by construction. Only fitting entries are asked for, so a box-only
+    model (one with ``box_costs``) is vectorized per row and a box no
+    packable shipment fits needs no cost.
     """
     if model is None:
         model = InnerVolumeCost()
@@ -166,16 +182,23 @@ def build_cost_matrix(
     I_hat, J = packables.I_hat, len(boxes)
     C = np.zeros((I_hat + len(locked), J), dtype=np.float64)
     fits = np.zeros((I_hat, J), dtype=np.bool_)
-    for r, i in enumerate(packables.W):
-        shipment = shipments[i]
-        for j in packables.fitting_boxes[i]:
-            c = float(model.cost_for(shipment, boxes[j]))
-            if not math.isfinite(c) or c < 0:
-                raise DataError(
-                    f"cost model produced invalid cost {c!r} for shipment "
-                    f"{shipment.id}, box {boxes[j].id}")
-            C[r, j] = c
-            fits[r, j] = True
+    box_costs = getattr(model, "box_costs", None)
+    if box_costs is not None:
+        vec = np.asarray(box_costs(boxes), dtype=np.float64)
+        valid = np.isfinite(vec) & (vec >= 0)
+        for r, i in enumerate(packables.W):
+            cols = np.asarray(packables.fitting_boxes[i], dtype=np.intp)
+            if not valid[cols].all():
+                # The first bad entry in row order raises the per-pair error.
+                j = int(cols[np.argmin(valid[cols])])
+                _pair_cost(model, shipments[i], boxes[j])
+            C[r, cols] = vec[cols]
+            fits[r, cols] = True
+    else:
+        for r, i in enumerate(packables.W):
+            for j in packables.fitting_boxes[i]:
+                C[r, j] = _pair_cost(model, shipments[i], boxes[j])
+                fits[r, j] = True
     real = C[:I_hat]
     gamma = float(real.max(axis=1, initial=0.0).sum()) + 1.0
     real[~fits] = gamma
@@ -185,6 +208,14 @@ def build_cost_matrix(
     ids = tuple(shipments[i].id for i in packables.W)
     return CostMatrix(C=C, gamma=gamma, fake_rows=len(locked), locked=locked,
                       row_shipment_ids=ids, model_id=getattr(model, "model_id", "?"))
+
+
+def _pair_cost(model: CostModel, shipment: Shipment, box: CandidateBox) -> float:
+    c = float(model.cost_for(shipment, box))
+    if not math.isfinite(c) or c < 0:
+        raise DataError(f"cost model produced invalid cost {c!r} for shipment "
+                        f"{shipment.id}, box {box.id}")
+    return c
 
 
 # -- persistence -----------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 For each shipment the candidate boxes are visited in volume order starting at
 the first box that can hold the shipment's liquid volume. Decisions cascade
-from cheap to expensive: per-carton necessity, the one-row stacking
-construction, exact two/three-carton solvers, pair/triple pre-screens, and
-finally the branch-and-bound solver. Every positive verdict is propagated to
+from cheap to expensive: per-carton necessity, pair/triple pre-screens, the
+one-row stacking construction, and then an exact decision: the two/three-carton
+solvers, or the branch-and-bound solver, which from five cartons on is preceded
+by a dual-feasible-function volume bound (``dff_refutes``) that proves most
+NO_FITs without search. Every positive verdict is propagated to
 all boxes the current box nests into, which both skips work and keeps rows
 closed under nesting.
 """
@@ -24,6 +26,7 @@ from boxsuite.fitting import (
     FitProblem,
     Outcome,
     SolverConfig,
+    dff_refutes,
     fits_exact_small,
     fits_stacking,
     solve_fit,
@@ -257,6 +260,10 @@ class _ShipmentScanner:
                           enforce_br=self.cfg.enforce_br)
         if len(cartons) in (2, 3):
             out = fits_exact_small(prob).outcome
+        elif len(cartons) >= 5 and dff_refutes(prob):
+            # A four-carton NO_FIT search takes about a millisecond; the
+            # screen is kept for the orders whose proofs run long.
+            out = Outcome.NO_FIT
         else:
             out = solve_fit(prob, solver_cfg).outcome
             if out is Outcome.TIMED_OUT and self.cfg.retry_time_limit:

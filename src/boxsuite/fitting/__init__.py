@@ -4,6 +4,8 @@ Layered from cheap to complete:
 
 - :func:`fits_single` / :func:`necessary_condition` / :func:`fits_stacking`
   are closed-form screens (exact for one carton, one-sided otherwise);
+- :func:`dff_refutes` is a one-sided dual-feasible-function volume bound
+  that proves NO_FIT without search;
 - :func:`fits_exact_small` settles two or three cartons exactly;
 - :func:`solve_fit` is the general branch-and-bound decision procedure;
 - :func:`oracle_fit` is an independent exhaustive reference used for
@@ -13,6 +15,7 @@ Layered from cheap to complete:
 """
 from boxsuite.fitting.checks import (
     aggregate_sorted_dims,
+    dff_refutes,
     fits_single,
     fits_stacking,
     necessary_condition,
@@ -39,6 +42,7 @@ __all__ = [
     "SolverConfig",
     "aggregate_sorted_dims",
     "check_witness",
+    "dff_refutes",
     "effective_sorted_dims",
     "fits_exact_small",
     "fits_single",

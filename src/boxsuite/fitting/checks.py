@@ -1,8 +1,12 @@
 """Cheap sufficient/necessary fit conditions used before the full solver."""
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
+import numpy as np
+
+from boxsuite.fitting.types import FitProblem, orientation_extents
 from boxsuite.model import Carton, Dims3, tolerance_for
 
 __all__ = [
@@ -10,6 +14,7 @@ __all__ = [
     "fits_stacking",
     "aggregate_sorted_dims",
     "necessary_condition",
+    "dff_refutes",
 ]
 
 
@@ -83,6 +88,75 @@ def necessary_condition(
         fits_single(c, box_sorted_dims, ho=enforce_ho and c.height_oriented, eps=eps)
         for c in cartons
     )
+
+
+_DFF_TOL = 1e-9
+_DFF_K = np.arange(1.0, 5.0)
+
+
+def _dff_family(ext: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every axis's dual feasible functions evaluated at the extents ``ext``.
+
+    ``ext`` ends in the three axes; the result adds a last dimension over the
+    functions: the identity ``x = ext / length``, Fekete & Schepers' ``u^(k)``
+    for k = 1..4 and ``U^(e/length)`` for every carton extent e. Where
+    ``2e > length`` that ``U`` is not a valid function and the identity
+    stands in for it. Wherever float error could move a value across a
+    breakpoint the smaller branch is taken, which only weakens the bound.
+    """
+    x = ext / lengths
+    # u^(k)(x) = x when (k+1)x is integral, floor((k+1)x)/k otherwise. Next
+    # to an integer m the smallest branch value is (m-1)/k, and
+    # ceil(y - tol) - 1 is floor(y) everywhere else.
+    k1 = _DFF_K + 1.0
+    y = x[..., None] * k1
+    u = np.maximum(np.ceil(y - _DFF_TOL * k1) - 1.0, 0.0) / _DFF_K
+    # U^(eps)(x) is 0 below eps, 1 above 1-eps and x between. The lower
+    # breakpoint compares raw extents, which is exact.
+    e = np.array(sorted(set(ext.ravel().tolist())))  # np.unique would import numpy.ma
+    e_ok = 2.0 * e <= lengths[:, None]
+    top = (lengths[:, None] - e) + _DFF_TOL * lengths[:, None]
+    xe = x[..., None]
+    big = np.where(ext[..., None] > top, 1.0, xe)
+    U = np.where(e_ok & (ext[..., None] < e), 0.0, np.where(e_ok, big, xe))
+    return np.concatenate((xe, u, U), axis=-1)
+
+
+def dff_refutes(problem: FitProblem) -> bool:
+    """True only when no packing exists, by a dual-feasible-function volume bound.
+
+    If the cartons pack, every triple of dual feasible functions (one per
+    axis) maps them to cartons that still pack into the unit cube, so their
+    transformed volume is at most 1 (Fekete & Schepers, Math. Methods Oper.
+    Res. 60, 2004). Each carton counts at its cheapest allowed orientation
+    that fits the box; one with no fitting orientation refutes at once.
+    Bottom-resting is ignored, which only relaxes the problem.
+
+    Each axis length is the box length plus ``(n + 1) * eps``: a chain of n
+    cartons that ``check_witness`` accepts (origin down to -eps, n - 1
+    overlaps of eps, end up to box + eps) spans at most that much, so a
+    tolerated witness is an exact packing in the enlarged box.
+    """
+    slack = (problem.n + 1) * problem.eps
+    lengths = tuple(v + slack for v in problem.box.as_tuple())
+    groups = Counter(orientation_extents(c, problem.enforce_ho) for c in problem.cartons)
+    usable = []
+    for opts in groups:
+        ok = [o for o in opts if o[0] <= lengths[0] and o[1] <= lengths[1]
+              and o[2] <= lengths[2]]
+        if not ok:
+            return True
+        usable.append(ok)
+    # (groups, orientations, axes); short lists repeat their first entry,
+    # which leaves every minimum unchanged.
+    width = max(len(ok) for ok in usable)
+    ext = np.array([ok + ok[:1] * (width - len(ok)) for ok in usable])
+    fam = _dff_family(ext, np.array(lengths))
+    vol = ((fam[:, :, 0, :, None] * fam[:, :, 1, None, :])[..., None]
+           * fam[:, :, 2, None, None, :])
+    counts = np.fromiter(groups.values(), dtype=np.float64, count=len(groups))
+    total = counts @ vol.min(axis=1).reshape(len(groups), -1)
+    return bool(total.max() > 1.0 + _DFF_TOL)
 
 
 def fits_stacking(

@@ -232,3 +232,24 @@ class TestParser:
         for cmd in ("fit", "recommend", "validate", "compare", "finetune",
                     "fitone"):
             assert cmd in proc.stdout
+
+
+class TestInternalError:
+    @pytest.fixture
+    def broken_fit(self, fixture_files, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("scan exploded")
+        monkeypatch.setattr("boxsuite.cli.compute_fit_matrix", boom)
+        tmp, bpath, spath = fixture_files
+        return ["fit", "--boxes", bpath, "--shipments", spath,
+                "--out", str(tmp / "fit.csv")]
+
+    def test_exit_3_prints_only_the_message(self, broken_fit, capsys):
+        assert main(broken_fit) == 3
+        assert capsys.readouterr().err == "internal error: scan exploded\n"
+
+    def test_debug_prints_the_traceback(self, broken_fit, capsys):
+        assert main(["--debug", *broken_fit]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: scan exploded" in err
+        assert err.endswith("internal error: scan exploded\n")

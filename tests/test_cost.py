@@ -76,6 +76,50 @@ def test_rejects_negative_and_nan_costs():
         build_cost_matrix(ships, packs, boxes, model=BoxTableCost({2: 3.0}))
 
 
+class _PerPair:
+    """Hides a box-only model's ``box_costs`` to force the per-pair loop."""
+
+    def __init__(self, model):
+        self.model_id = model.model_id
+        self.cost_for = model.cost_for
+
+
+def test_box_only_models_match_the_per_pair_loop():
+    rng = random.Random(4)
+    boxes = boxes_by_volume(*[tuple(rng.uniform(1, 9) for _ in range(3))
+                              for _ in range(30)])
+    W = (0, 2, 3, 5)
+    fitting = {i: tuple(rng.sample(range(30), rng.randint(1, 12))) for i in W}
+    ships = [shipment(i + 1) for i in range(6)]
+    packs = PackableSet(W=W, fitting_boxes=fitting)
+    table = BoxTableCost({bx.id: rng.uniform(0, 5) for bx in boxes})
+    assert np.array_equal(InnerVolumeCost().box_costs(boxes), boxes.volumes)
+    for model in (InnerVolumeCost(), table):
+        for locked in ((), (1, 29)):
+            fast = build_cost_matrix(ships, packs, boxes, model=model, locked=locked)
+            slow = build_cost_matrix(ships, packs, boxes, model=_PerPair(model),
+                                     locked=locked)
+            assert fast.C.tobytes() == slow.C.tobytes()
+            assert fast.gamma == slow.gamma
+            assert fast.row_shipment_ids == slow.row_shipment_ids
+
+
+def test_box_table_reports_the_first_bad_fitting_entry():
+    boxes = boxes_by_volume((1, 1, 1), (2, 2, 2), (3, 3, 3))
+    ships = [shipment(1), shipment(2)]
+    packs = PackableSet(W=(0, 1), fitting_boxes={0: (2, 1), 1: (0,)})
+    table = BoxTableCost({1: -1.0, 2: float("nan")})
+    assert np.isnan(table.box_costs(boxes)[2])
+    for model in (table, _PerPair(table)):
+        # Row 0 asks for box 3 (missing) before box 2 (NaN); row 1's -1 comes later.
+        with pytest.raises(DataError, match="no entry for box 3"):
+            build_cost_matrix(ships, packs, boxes, model=model)
+    # A box that no packable shipment fits needs no entry.
+    packs = PackableSet(W=(0,), fitting_boxes={0: (0, 1)})
+    cm = build_cost_matrix(ships, packs, boxes, model=BoxTableCost({1: 1.0, 2: 2.0}))
+    assert tuple(cm.C[0]) == (1.0, 2.0, cm.gamma)
+
+
 def test_pair_table_model(tmp_path):
     table = tmp_path / "pairs.csv"
     table.write_text("shipment_id,box_id,cost\n7,1,2.5\n7,2,4.0\n")

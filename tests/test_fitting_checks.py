@@ -1,11 +1,26 @@
-"""Fast-path checks: exact single-carton test, one-row stacking, necessity."""
+"""Fast-path checks: exact single-carton test, one-row stacking, necessity,
+and the dual-feasible-function NO_FIT screen."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsuite.fitting import fits_single, fits_stacking, necessary_condition, oracle_fit
-from boxsuite.model import Carton, Dims3
+import gendata
+from boxsuite.fitmatrix import FitScanConfig, compute_fit_matrix
+from boxsuite.fitting import (
+    FitProblem,
+    Placement,
+    SolverConfig,
+    check_witness,
+    dff_refutes,
+    fits_single,
+    fits_stacking,
+    necessary_condition,
+    oracle_fit,
+    solve_fit,
+)
+from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, tolerance_for
 
 from conftest import random_fit_problem, sorted_lw
 
@@ -103,3 +118,117 @@ def test_single_free_is_rotation_invariant(dims, box):
     base = fits_single(Carton(Dims3(*dims)), Dims3(*box))
     rotated = fits_single(Carton(Dims3(dims[2], dims[0], dims[1])), Dims3(box[1], box[2], box[0]))
     assert base == rotated
+
+
+# -- dual-feasible-function screen -----------------------------------------------
+
+
+def test_dff_never_refutes_a_fit_in_the_corpora():
+    problems = (gendata.fit_instances() + gendata.duplicate_fit_instances()
+                + gendata.single_carton_instances())
+    cfg = SolverConfig(time_limit=10.0)
+    refuted = {"fit": 0, "no_fit": 0}
+    no_fits = 0
+    for prob in problems:
+        verdict = solve_fit(prob, cfg)
+        assert not verdict.timed_out
+        no_fits += not verdict.is_fit
+        if dff_refutes(prob):
+            refuted[verdict.outcome.value] += 1
+    assert refuted["fit"] == 0
+    assert refuted["no_fit"] >= 0.9 * no_fits  # 789 of 807 when written
+
+
+@st.composite
+def scaled_problems(draw):
+    """Up to four cartons on a non-integral grid, often with repeats."""
+    scale = draw(st.sampled_from((0.1, 0.25, 0.3, 1.7)))
+    dims = st.tuples(*[st.integers(1, 6)] * 3)
+    kinds = draw(st.lists(dims, min_size=1, max_size=2))
+    n = draw(st.integers(1, 4))
+    cartons = tuple(
+        Carton(Dims3(*(scale * v for v in draw(st.sampled_from(kinds)))),
+               height_oriented=draw(st.booleans()),
+               bottom_resting=draw(st.booleans()))
+        for _ in range(n))
+    box = draw(st.tuples(*[st.integers(1, 10)] * 3))
+    return FitProblem(cartons, Dims3(*(scale * v for v in box)))
+
+
+@given(prob=scaled_problems())
+@settings(max_examples=300, deadline=None)
+def test_dff_refutation_agrees_with_oracle(prob):
+    if dff_refutes(prob):
+        assert not oracle_fit(prob).is_fit
+
+
+def test_dff_refutes_the_seven_slab_order():
+    # The branch-and-bound needs about 51,000 nodes (2 s) to prove this.
+    prob = FitProblem((Carton(Dims3(8, 5, 5)),) * 7, Dims3(17, 16, 7))
+    assert dff_refutes(prob)
+    boxes = BoxSet([CandidateBox(1, Dims3(17, 16, 7))])
+    ship = Shipment(id=1, cartons=prob.cartons)
+    cfg = FitScanConfig(solver=SolverConfig(time_limit=1.0))
+    mat, _ = compute_fit_matrix([ship], boxes, cfg=cfg)
+    assert mat.rows == ((),) and mat.timeouts == ()
+
+
+def test_dff_keeps_tight_fits():
+    for scale in (1.0, 0.1):
+        cube = Carton(Dims3(5 * scale, 5 * scale, 5 * scale))
+        box = Dims3(10 * scale, 10 * scale, 10 * scale)
+        assert not dff_refutes(FitProblem((cube,) * 8, box))
+        assert dff_refutes(FitProblem((cube,) * 9, box))
+
+
+@pytest.mark.parametrize("lengths", [(2.0,) * 5, (3.0, 7.0), (2.5, 2.5, 5.0)])
+def test_dff_keeps_witnesses_inside_the_tolerance(lengths):
+    # A row along x that overfills the box by 0.9 (n+1) eps, laid out with
+    # the overlaps and overhangs check_witness tolerates.
+    box = Dims3(10, 10, 10)
+    n = len(lengths)
+    excess = 0.9 * (n + 1) * tolerance_for(box)
+    lengths = lengths[:-1] + (lengths[-1] + excess,)
+    cartons = tuple(Carton(Dims3(x, 10, 10), height_oriented=True) for x in lengths)
+    prob = FitProblem(cartons, box)
+    step = excess / (n + 1)
+    witness, at = [], -step
+    for k, x in enumerate(lengths):
+        witness.append(Placement(k, (x, 10, 10), (at, 0.0, 0.0)))
+        at += x - step
+    assert check_witness(prob, witness)
+    assert not dff_refutes(prob)
+
+
+def _five_to_seven_carton_world(seed):
+    rng = random.Random(seed)
+    boxes = BoxSet([CandidateBox(i + 1, Dims3(*(rng.randint(4, 10) for _ in range(3))))
+                    for i in range(12)])
+    ships = []
+    for sid in range(1, 9):
+        n = rng.randint(5, 7)
+        kinds = [tuple(rng.randint(1, 5) for _ in range(3))
+                 for _ in range(rng.randint(1, 3))]
+        ships.append(Shipment(id=sid, cartons=tuple(
+            Carton(Dims3(*rng.choice(kinds)), height_oriented=rng.random() < 0.2)
+            for _ in range(n))))
+    return boxes, ships
+
+
+def test_dff_screen_does_not_change_scan_rows(monkeypatch):
+    cfg = FitScanConfig(solver=SolverConfig(time_limit=30.0))
+    verdicts = []
+
+    def recording(prob):
+        verdicts.append(dff_refutes(prob))
+        return verdicts[-1]
+
+    for seed in (13, 25, 29):
+        boxes, ships = _five_to_seven_carton_world(seed)
+        monkeypatch.setattr("boxsuite.fitmatrix.dff_refutes", recording)
+        on, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+        monkeypatch.setattr("boxsuite.fitmatrix.dff_refutes", lambda prob: False)
+        off, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+        assert off.timeouts == ()
+        assert on.rows == off.rows
+    assert sum(verdicts) >= 10  # 14 of 73 screened pairs when written
