@@ -11,7 +11,6 @@ detectable from the objective value alone.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from boxsuite.fitmatrix import PackableSet
+from boxsuite.fitmatrix import FitMatrix
 from boxsuite.model import BoxSet, CandidateBox, DataError, Shipment
 
 __all__ = [
@@ -31,9 +30,6 @@ __all__ = [
     "build_cost_matrix",
     "load_box_cost_table",
     "load_pair_cost_table",
-    "save_cost_matrix",
-    "load_cost_matrix",
-    "export_sparse_costs",
 ]
 
 
@@ -156,19 +152,20 @@ class CostMatrix:
 
 def build_cost_matrix(
     shipments: Sequence[Shipment],
-    packables: PackableSet,
+    fit: FitMatrix,
     boxes: BoxSet,
     model: Optional[CostModel] = None,
     locked: Sequence[int] = (),
 ) -> CostMatrix:
-    """Assemble the penalized cost matrix from fitting sets and a cost model.
+    """Assemble the penalized cost matrix from the fit matrix and a cost model.
 
-    Model costs must be nonnegative and finite; under that precondition no
-    fitting entry can reach the penalty (the penalty exceeds the sum of all
-    per-row maxima), so the sub-penalty structure the coverage argument needs
-    holds by construction. Only fitting entries are asked for, so a box-only
-    model (one with ``box_costs``) is vectorized per row and a box no
-    packable shipment fits needs no cost.
+    Real rows are the fit matrix's nonempty rows in order. Model costs must
+    be nonnegative and finite; under that precondition no fitting entry can
+    reach the penalty (the penalty exceeds the sum of all per-row maxima), so
+    the sub-penalty structure the coverage argument needs holds by
+    construction. Only fitting entries are asked for, so a box-only model
+    (one with ``box_costs``) is vectorized per row and a box no packable
+    shipment fits needs no cost.
     """
     if model is None:
         model = InnerVolumeCost()
@@ -179,33 +176,34 @@ def build_cost_matrix(
         if not 0 <= t < len(boxes):
             raise DataError(f"locked box index {t} out of range")
 
-    I_hat, J = packables.I_hat, len(boxes)
-    C = np.zeros((I_hat + len(locked), J), dtype=np.float64)
-    fits = np.zeros((I_hat, J), dtype=np.bool_)
+    W = fit.packables().W
+    I_hat, J = len(W), len(boxes)
+    # NaN marks the cells no fitting cost is written to until gamma is known.
+    C = np.full((I_hat + len(locked), J), np.nan)
+    row_max = np.zeros(I_hat)
     box_costs = getattr(model, "box_costs", None)
     if box_costs is not None:
         vec = np.asarray(box_costs(boxes), dtype=np.float64)
         valid = np.isfinite(vec) & (vec >= 0)
-        for r, i in enumerate(packables.W):
-            cols = np.asarray(packables.fitting_boxes[i], dtype=np.intp)
+    for r, i in enumerate(W):
+        cols = fit.row(i)
+        if box_costs is None:
+            costs = np.array([_pair_cost(model, shipments[i], boxes[j])
+                              for j in cols.tolist()])
+        else:
             if not valid[cols].all():
                 # The first bad entry in row order raises the per-pair error.
-                j = int(cols[np.argmin(valid[cols])])
-                _pair_cost(model, shipments[i], boxes[j])
-            C[r, cols] = vec[cols]
-            fits[r, cols] = True
-    else:
-        for r, i in enumerate(packables.W):
-            for j in packables.fitting_boxes[i]:
-                C[r, j] = _pair_cost(model, shipments[i], boxes[j])
-                fits[r, j] = True
-    real = C[:I_hat]
-    gamma = float(real.max(axis=1, initial=0.0).sum()) + 1.0
-    real[~fits] = gamma
+                _pair_cost(model, shipments[i], boxes[int(cols[np.argmin(valid[cols])])])
+            costs = vec[cols]
+        C[r, cols] = costs
+        row_max[r] = costs.max()
+    gamma = float(row_max.sum()) + 1.0
+    for row in C[:I_hat]:
+        row[np.isnan(row)] = gamma
     C[I_hat:] = gamma
     for f, t in enumerate(locked):
         C[I_hat + f, t] = 0.0
-    ids = tuple(shipments[i].id for i in packables.W)
+    ids = tuple(shipments[i].id for i in W)
     return CostMatrix(C=C, gamma=gamma, fake_rows=len(locked), locked=locked,
                       row_shipment_ids=ids, model_id=getattr(model, "model_id", "?"))
 
@@ -216,57 +214,3 @@ def _pair_cost(model: CostModel, shipment: Shipment, box: CandidateBox) -> float
         raise DataError(f"cost model produced invalid cost {c!r} for shipment "
                         f"{shipment.id}, box {box.id}")
     return c
-
-
-# -- persistence -----------------------------------------------------------------
-
-
-def save_cost_matrix(cm: CostMatrix, path: str | Path,
-                     boxes: Optional[BoxSet] = None) -> None:
-    path = Path(path)
-    np.savez_compressed(
-        path, C=cm.C, gamma=np.array([cm.gamma]), fake_rows=np.array([cm.fake_rows]),
-        locked=np.array(cm.locked, dtype=np.int64),
-        row_shipment_ids=np.array(cm.row_shipment_ids, dtype=np.int64))
-    manifest = {
-        "gamma": cm.gamma,
-        "fake_rows": cm.fake_rows,
-        "locked_box_ids": [boxes[t].id for t in cm.locked] if boxes is not None
-                          else list(cm.locked),
-        "model_id": cm.model_id,
-        "shape": list(cm.C.shape),
-    }
-    manifest_path = path.with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def load_cost_matrix(path: str | Path) -> CostMatrix:
-    path = Path(path)
-    if not path.suffix:
-        path = path.with_suffix(".npz")
-    data = np.load(path)
-    manifest_path = path.with_suffix(".manifest.json")
-    model_id = "?"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        model_id = manifest.get("model_id", "?")
-        if manifest.get("shape") and tuple(manifest["shape"]) != data["C"].shape:
-            raise DataError("cost matrix manifest disagrees on shape")
-    return CostMatrix(
-        C=data["C"], gamma=float(data["gamma"][0]),
-        fake_rows=int(data["fake_rows"][0]),
-        locked=tuple(int(t) for t in data["locked"]),
-        row_shipment_ids=tuple(int(s) for s in data["row_shipment_ids"]),
-        model_id=model_id)
-
-
-def export_sparse_costs(cm: CostMatrix, path: str | Path, boxes: BoxSet) -> None:
-    """Write only the sub-penalty entries as shipment_id,box_id,cost rows."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["shipment_id", "box_id", "cost"])
-        for r in range(cm.n_real):
-            sid = cm.row_shipment_ids[r]
-            for j in np.nonzero(cm.C[r] < cm.gamma)[0]:
-                w.writerow([sid, boxes[int(j)].id, repr(float(cm.C[r, j]))])

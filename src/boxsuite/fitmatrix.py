@@ -9,16 +9,28 @@ by a dual-feasible-function volume bound (``dff_refutes``) that proves most
 NO_FITs without search. Every positive verdict is propagated to
 all boxes the current box nests into, which both skips work and keeps rows
 closed under nesting.
+
+A scanned row is one byte per box. Rows are packed a block of shipments at a
+time into the matrix's CSR form, which every later layer reads and writes
+without a Python object per set bit: ``indptr`` (int64, one entry per
+shipment plus one) and ``indices`` (int32 box indices, each row's slice
+sorted and unique). fit.csv holds one ``shipment_id,box_id`` line per set
+bit; its manifest records counts, the scan-config hash, timed-out pairs and
+digests of the boxes and shipments, which ``load_fit_matrix`` checks.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
+from bisect import bisect_left
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +50,6 @@ from boxsuite.model import (
     Dims3,
     Shipment,
     liquid_volume,
-    search_sorted_first,
 )
 
 __all__ = [
@@ -114,18 +125,47 @@ class FitScanConfig:
 
 @dataclass(frozen=True)
 class PackableSet:
-    """Shipments with at least one fitting box, with their box index sets."""
+    """Shipments with at least one fitting box, read from the fit matrix."""
 
     W: tuple[int, ...]
-    fitting_boxes: dict[int, tuple[int, ...]]
+    fit: FitMatrix = field(repr=False, compare=False)
 
     @property
     def I_hat(self) -> int:
         return len(self.W)
 
+    @property
+    def fitting_boxes(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only map from each packable shipment to its fitting box indices."""
+        return _FittingBoxes(self.W, self.fit)
+
+
+class _FittingBoxes(Mapping):
+    def __init__(self, W: tuple[int, ...], fit: FitMatrix):
+        self._W = W
+        self._fit = fit
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self._fit.n_shipments:
+            raise KeyError(i)
+        row = self._fit.row(i)
+        if not row.size:
+            raise KeyError(i)
+        return tuple(row.tolist())
+
+    def __iter__(self):
+        return iter(self._W)
+
+    def __len__(self) -> int:
+        return len(self._W)
+
 
 class FitMatrix:
-    """Sparse boolean shipment-by-box feasibility matrix."""
+    """Sparse boolean shipment-by-box feasibility matrix in CSR form.
+
+    Row i's set columns are ``indices[indptr[i]:indptr[i + 1]]``, sorted and
+    unique; ``indptr`` is int64 of length n + 1 and ``indices`` int32.
+    """
 
     def __init__(self, n_shipments: int, n_boxes: int,
                  rows: Sequence[Sequence[int]],
@@ -133,56 +173,147 @@ class FitMatrix:
                  config_hash: str = ""):
         if len(rows) != n_shipments:
             raise DataError("one row per shipment required")
-        self.n_shipments = n_shipments
-        self.n_boxes = n_boxes
-        self.rows = tuple(tuple(sorted(set(r))) for r in rows)
-        for r in self.rows:
+        rows = [sorted(set(r)) for r in rows]
+        for r in rows:
             if r and (r[0] < 0 or r[-1] >= n_boxes):
                 raise DataError("box index out of range in fit matrix row")
+        indptr = np.zeros(n_shipments + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n_shipments),
+                  out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int32,
+                              count=int(indptr[-1]))
+        self._assign(n_shipments, n_boxes, indptr, indices, timeouts, config_hash)
+
+    @classmethod
+    def from_csr(cls, n_shipments: int, n_boxes: int, indptr: np.ndarray,
+                 indices: np.ndarray, timeouts: Sequence[tuple[int, int]] = (),
+                 config_hash: str = "") -> "FitMatrix":
+        """Wrap CSR arrays whose rows are already sorted, unique and in range."""
+        mat = cls.__new__(cls)
+        mat._assign(n_shipments, n_boxes, indptr, indices, timeouts, config_hash)
+        return mat
+
+    def _assign(self, n_shipments, n_boxes, indptr, indices, timeouts, config_hash):
+        self.n_shipments = n_shipments
+        self.n_boxes = n_boxes
+        self.indptr = indptr
+        self.indices = indices
         self.timeouts = tuple(timeouts)
         self.config_hash = config_hash
 
+    def row(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        cols, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))
+
     def is_set(self, i: int, j: int) -> bool:
-        row = self.rows[i]
-        k = np.searchsorted(row, j) if row else 0
-        return bool(row) and k < len(row) and row[k] == j
+        row = self.row(i)
+        k = int(np.searchsorted(row, j))
+        return k < row.size and bool(row[k] == j)
 
     @property
     def set_bits(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return int(self.indices.size)
 
     def packables(self) -> PackableSet:
-        W = tuple(i for i, r in enumerate(self.rows) if r)
-        return PackableSet(W=W, fitting_boxes={i: self.rows[i] for i in W})
+        return PackableSet(W=tuple(np.flatnonzero(np.diff(self.indptr)).tolist()), fit=self)
 
     # -- persistence ----------------------------------------------------------
 
     def save_csv(self, path: str | Path, shipments: Sequence[Shipment],
                  boxes: BoxSet, manifest_path: Optional[str | Path] = None) -> None:
+        """Write ``shipment_id,box_id`` lines with ``\\r\\n`` terminators, one
+        write per shipment, and the manifest beside them."""
         path = Path(path)
+        box_lines = [f"{bx.id}\r\n" for bx in boxes]
+        bounds = self.indptr.tolist()
         with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["shipment_id", "box_id"])
-            for i, row in enumerate(self.rows):
-                sid = shipments[i].id
-                for j in row:
-                    w.writerow([sid, boxes[j].id])
+            fh.write("shipment_id,box_id\r\n")
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                if a < b:
+                    prefix = f"{shipments[i].id},"
+                    fh.write(prefix + prefix.join(
+                        [box_lines[j] for j in self.indices[a:b].tolist()]))
         if manifest_path is None:
             manifest_path = path.with_suffix(".manifest.json")
         manifest = {
             "shipments": self.n_shipments,
             "boxes": self.n_boxes,
             "set_bits": self.set_bits,
-            "packable": len([r for r in self.rows if r]),
+            "packable": int(np.count_nonzero(np.diff(self.indptr))),
             "config_hash": self.config_hash,
+            "boxes_digest": _boxes_digest(boxes),
+            "shipments_digest": _shipments_digest(shipments),
             "timeouts": [[sid, bid] for sid, bid in self.timeouts],
         }
         Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _boxes_digest(boxes: BoxSet) -> str:
+    """sha256 of box ids and inner dims in id order; locks change no fit bit
+    and are left out."""
+    ids = boxes.ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    h = hashlib.sha256(repr([int(ids[j]) for j in order]).encode())
+    h.update(boxes.dims[order].tobytes())
+    return h.hexdigest()
+
+
+def _shipments_digest(shipments: Sequence[Shipment]) -> str:
+    """sha256 of shipment ids, carton dims with HO/BR flags, and foldable
+    dims, over sorted records, so neither shipment nor item order matters."""
+    def dims(d: Dims3) -> str:
+        return ",".join(repr(float(v)) for v in d.as_tuple())
+
+    h = hashlib.sha256()
+    for rec in sorted(
+            f"{s.id}:"
+            + ";".join(sorted(f"{dims(c.dims)},{c.height_oriented:d}{c.bottom_resting:d}"
+                              for c in s.cartons))
+            + "|" + ";".join(sorted(dims(f.dims) for f in s.foldables))
+            for s in shipments):
+        h.update(rec.encode() + b"\n")
+    return h.hexdigest()
+
+
 def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
                     boxes: BoxSet, manifest_path: Optional[str | Path] = None) -> FitMatrix:
+    """Read fit.csv (and its manifest, when there is one) into a FitMatrix.
+
+    Files made only of ``digits,digits`` lines (``\\n`` or ``\\r\\n``, after an
+    optional ``shipment_id,box_id`` header) are parsed a chunk at a time with
+    numpy; any other file, and any file with an error, goes through the
+    per-line csv reader, which returns the same matrix and raises the
+    ``DataError`` naming the offending line.
+    """
     path = Path(path)
+    n, J = len(shipments), len(boxes)
+    csr = _read_csr(path, shipments, boxes)
+    if csr is None:
+        mat = FitMatrix(n, J, _read_rows_per_line(path, shipments, boxes))
+        csr = mat.indptr, mat.indices
+    if manifest_path is None:
+        candidate = path.with_suffix(".manifest.json")
+        manifest_path = candidate if candidate.exists() else None
+    manifest = json.loads(Path(manifest_path).read_text()) if manifest_path else {}
+    mat = FitMatrix.from_csr(n, J, *csr, [tuple(t) for t in manifest.get("timeouts", [])],
+                             manifest.get("config_hash", ""))
+    if manifest:
+        expected = {"shipments": n, "boxes": J, "set_bits": mat.set_bits,
+                    "boxes_digest": _boxes_digest(boxes),
+                    "shipments_digest": _shipments_digest(shipments)}
+        for key, got in expected.items():
+            if key in manifest and manifest[key] != got:
+                raise DataError(f"fit matrix manifest disagrees on {key}: "
+                                f"{manifest[key]} != {got}")
+    return mat
+
+
+def _read_rows_per_line(path: Path, shipments: Sequence[Shipment],
+                        boxes: BoxSet) -> list[list[int]]:
     ship_index = {s.id: i for i, s in enumerate(shipments)}
     rows: list[list[int]] = [[] for _ in shipments]
     with path.open(newline="") as fh:
@@ -199,23 +330,125 @@ def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
             if sid not in ship_index:
                 raise DataError(f"{path}:{lineno}: unknown shipment id {sid}")
             rows[ship_index[sid]].append(boxes.index_of(bid))
-    config_hash = ""
-    timeouts: list[tuple[int, int]] = []
-    if manifest_path is None:
-        candidate = path.with_suffix(".manifest.json")
-        manifest_path = candidate if candidate.exists() else None
-    if manifest_path is not None:
-        manifest = json.loads(Path(manifest_path).read_text())
-        config_hash = manifest.get("config_hash", "")
-        timeouts = [tuple(t) for t in manifest.get("timeouts", [])]
-        mat = FitMatrix(len(shipments), len(boxes), rows, timeouts, config_hash)
-        for key, got in (("shipments", mat.n_shipments), ("boxes", mat.n_boxes),
-                         ("set_bits", mat.set_bits)):
-            if key in manifest and manifest[key] != got:
-                raise DataError(f"fit matrix manifest disagrees on {key}: "
-                                f"{manifest[key]} != {got}")
-        return mat
-    return FitMatrix(len(shipments), len(boxes), rows, timeouts, config_hash)
+    return rows
+
+
+_CHUNK_BYTES = 1 << 18
+_HEADER = b"shipment_id,box_id"
+# Byte classes of the fast reader's grammar; anything else is class 0.
+_DIGIT, _COMMA, _CR, _LF = 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(","), ord("\r"), ord("\n")]] = (_COMMA, _CR, _LF)
+_MAX_FIELD = 18  # bytes, a trailing \r included, so every id fits int64
+_SEPARATORS_TO_SPACE = bytes.maketrans(b",\r\n", b"   ")
+
+
+def _read_csr(path: Path, shipments: Sequence[Shipment],
+              boxes: BoxSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """fit.csv as CSR (indptr, indices), or None when the per-line reader
+    must decide: a byte outside the grammar, an unknown id, or no shipments.
+
+    Lines in (row, column) order, as ``save_csv`` writes them, append their
+    columns as they come; out-of-order or repeated lines switch to collecting
+    row * J + column keys, which are sorted and deduplicated at the end.
+    """
+    n, J = len(shipments), len(boxes)
+    if n == 0:
+        return None
+    try:
+        ship_ids, ship_rows = _id_lookup([s.id for s in shipments])
+        box_ids, box_cols = _id_lookup(boxes.ids)
+    except OverflowError:
+        return None
+    counts = np.zeros(n, dtype=np.int64)
+    cols: list[np.ndarray] = []
+    keys: Optional[list[np.ndarray]] = None
+    last = -1
+    carry, first = b"", True
+    with path.open("rb") as fh:
+        while True:
+            data = fh.read(_CHUNK_BYTES)
+            buf = carry + data
+            if data:
+                cut = buf.rfind(b"\n") + 1
+                if cut == 0:
+                    if len(buf) > _CHUNK_BYTES:
+                        return None
+                    carry = buf
+                    continue
+                buf, carry = buf[:cut], buf[cut:]
+            elif not buf:
+                break
+            else:
+                buf, carry = buf + b"\n", b""  # last line without a newline
+            if first:
+                first = False
+                for header in (_HEADER + b"\r\n", _HEADER + b"\n"):
+                    if buf.startswith(header):
+                        buf = buf[len(header):]
+                        break
+            pairs = _parse_chunk(buf)
+            if pairs is None:
+                return None
+            r = _lookup(ship_ids, ship_rows, pairs[:, 0])
+            c = _lookup(box_ids, box_cols, pairs[:, 1])
+            if r is None or c is None:
+                return None
+            if not r.size:
+                continue
+            key = r * J + c
+            if keys is None and key[0] > last and (np.diff(key) > 0).all():
+                counts += np.bincount(r, minlength=n)
+                cols.append(c.astype(np.int32))
+                last = int(key[-1])
+                continue
+            if keys is None:
+                keys = [np.repeat(np.arange(n), counts) * J + np.concatenate(cols)] if cols else []
+            keys.append(key)
+    if keys is not None:
+        key = np.sort(np.concatenate(keys))
+        key = key[np.r_[True, key[1:] != key[:-1]]]
+        counts = np.bincount(key // J, minlength=n)
+        cols = [(key % J).astype(np.int32)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.concatenate(cols) if cols else np.zeros(0, dtype=np.int32)
+
+
+def _parse_chunk(buf: bytes) -> Optional[np.ndarray]:
+    """(shipment id, box id) pairs of a buffer of whole ``digits,digits``
+    lines, or None when it holds anything else."""
+    cls = _BYTE_CLASS[np.frombuffer(buf, dtype=np.uint8)]
+    if not cls.all():
+        return None
+    seps = np.flatnonzero((cls == _COMMA) | (cls == _LF))
+    kinds = cls[seps]
+    if kinds.size % 2 or (kinds[0::2] != _COMMA).any() or (kinds[1::2] != _LF).any():
+        return None
+    cr = np.flatnonzero(cls == _CR)  # only as \r\n after a digit
+    if cr.size and (cr[0] == 0 or (cls[cr + 1] != _LF).any() or (cls[cr - 1] != _DIGIT).any()):
+        return None
+    widths = np.diff(seps, prepend=-1) - 1
+    if widths.size and (widths.min() < 1 or widths.max() > _MAX_FIELD):
+        return None
+    vals = np.fromstring(buf.translate(_SEPARATORS_TO_SPACE), dtype=np.int64, sep=" ")
+    return vals.reshape(-1, 2) if vals.size == seps.size else None
+
+
+def _id_lookup(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ids and, for each, its last position in ``ids``."""
+    ids = np.array(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    last = np.r_[ids[1:] != ids[:-1], True]
+    return ids[last], order[last]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> Optional[np.ndarray]:
+    """values at ids' positions in keys, or None when an id is missing."""
+    k = np.minimum(np.searchsorted(keys, ids), keys.size - 1)
+    return values[k] if (keys[k] == ids).all() else None
 
 
 # -- the scan ------------------------------------------------------------------
@@ -294,22 +527,21 @@ class _ShipmentScanner:
                         return False
         return True
 
-    def scan(self, shipment: Shipment) -> tuple[list[int], list[tuple[int, int]]]:
+    def scan(self, shipment: Shipment) -> tuple[bytearray, list[tuple[int, int]]]:
+        """The shipment's row as one byte per box (1 = fits) and its timeouts."""
         boxes, nests, cfg = self.boxes, self.nests, self.cfg
         J = len(boxes)
-        v = liquid_volume(shipment)
-        j0 = search_sorted_first(boxes.volumes, v) - 1  # to 0-based
+        j0 = bisect_left(boxes.volumes, liquid_volume(shipment))
         row = bytearray(J)
         timeouts: list[tuple[int, int]] = []
         if j0 >= J:
-            return [], timeouts
+            return row, timeouts
         cartons = shipment.cartons
         n = len(cartons)
         if n == 0:
             # Foldable items conform to any space of sufficient volume.
-            for j in range(j0, J):
-                row[j] = 1
-            return list(range(j0, J)), timeouts
+            row[j0:] = b"\x01" * (J - j0)
+            return row, timeouts
 
         ho_count = sum(1 for c in cartons if c.height_oriented) if cfg.enforce_ho else 0
         br_count = sum(1 for c in cartons if c.bottom_resting) if cfg.enforce_br else 0
@@ -357,7 +589,7 @@ class _ShipmentScanner:
             if out is Outcome.FIT:
                 for k in closure[j]:
                     row[k] = 1
-        return [j for j in range(J) if row[j]], timeouts
+        return row, timeouts
 
 
 def _scan_chunk(args):
@@ -376,20 +608,47 @@ def compute_fit_matrix(
         cfg = FitScanConfig()
     if nests is None:
         nests = compute_nest_sets(boxes)
-    results: list[tuple[list[int], list[tuple[int, int]]]]
     if cfg.threads > 1 and len(shipments) > 1:
         chunks = [list(shipments[k::cfg.threads]) for k in range(cfg.threads)]
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(_scan_chunk, [(c, boxes, nests, cfg) for c in chunks]))
         # Re-interleave to shipment order.
-        results = [None] * len(shipments)  # type: ignore[list-item]
+        results = [None] * len(shipments)
         for k, part in enumerate(parts):
             for offset, res in enumerate(part):
                 results[k + offset * cfg.threads] = res
     else:
         scanner = _ShipmentScanner(boxes, nests, cfg)
-        results = [scanner.scan(s) for s in shipments]
-    rows = [r for r, _ in results]
-    timeouts = [t for _, ts in results for t in ts]
-    matrix = FitMatrix(len(shipments), len(boxes), rows, timeouts, cfg.content_hash())
+        results = (scanner.scan(s) for s in shipments)
+    timeouts: list[tuple[int, int]] = []
+
+    def rows():
+        for row, ts in results:
+            timeouts.extend(ts)
+            yield row
+
+    indptr, indices = _byte_rows_to_csr(rows(), len(shipments), len(boxes))
+    matrix = FitMatrix.from_csr(len(shipments), len(boxes), indptr, indices,
+                                timeouts, cfg.content_hash())
     return matrix, matrix.packables()
+
+
+_SCAN_BLOCK = 1024  # shipments converted to CSR per numpy call
+
+
+def _byte_rows_to_csr(rows: Iterable[bytes], n_rows: int,
+                      n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of byte rows (one byte per column, nonzero = set), taken
+    in blocks so that no more than one block of rows is held at a time."""
+    counts = np.zeros(n_rows, dtype=np.int64)
+    parts: list[np.ndarray] = []
+    rows = iter(rows)
+    start = 0
+    while block := list(itertools.islice(rows, _SCAN_BLOCK)):
+        pos = np.flatnonzero(np.frombuffer(b"".join(block), dtype=np.uint8))
+        counts[start:start + len(block)] = np.bincount(pos // n_cols, minlength=len(block))
+        parts.append((pos % n_cols).astype(np.int32))
+        start += len(block)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)

@@ -7,7 +7,6 @@ the box scale (see :func:`tolerance_for`).
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -24,7 +23,6 @@ __all__ = [
     "DataError",
     "sort3",
     "liquid_volume",
-    "search_sorted_first",
     "tolerance_for",
     "load_boxes",
     "load_shipments",
@@ -118,11 +116,6 @@ class Shipment:
 def liquid_volume(s: Shipment) -> float:
     """Total outer volume of every item in the shipment (cartons + foldables)."""
     return sum(c.dims.volume for c in s.cartons) + sum(f.dims.volume for f in s.foldables)
-
-
-def search_sorted_first(values: Sequence[float], w: float) -> int:
-    """1-based index of the first entry >= w in a nondecreasing list; N+1 if none."""
-    return bisect_left(values, w) + 1
 
 
 def tolerance_for(box: Dims3) -> float:

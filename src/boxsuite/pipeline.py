@@ -203,7 +203,7 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
         packables = fit.packables()
 
     model = run.model if run.model is not None else InnerVolumeCost()
-    cm = build_cost_matrix(shipments, packables, boxes, model=model,
+    cm = build_cost_matrix(shipments, fit, boxes, model=model,
                            locked=boxes.locked)
     if cm.C.shape[0] == 0:
         # No packable shipments and no locks: every suite covers vacuously at

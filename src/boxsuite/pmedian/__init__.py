@@ -7,7 +7,6 @@ from boxsuite.pmedian.instance import (
     check_feasible,
     collapse_rows,
     extract_assignment,
-    save_result_json,
     solve_exact,
     suite_cost,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "greedy_construct",
     "local_search_interchange",
     "path_relink",
-    "save_result_json",
     "solve_exact",
     "solve_grasp",
     "suite_cost",

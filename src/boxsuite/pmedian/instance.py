@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +19,6 @@ __all__ = [
     "extract_assignment",
     "check_feasible",
     "solve_exact",
-    "save_result_json",
 ]
 
 
@@ -163,18 +160,3 @@ def solve_exact(inst: PMedianInstance, max_subsets: int = 200_000,
     assert best is not None
     return SolveResult(suite=Suite(best), cost=best_cost,
                        lower_bound=best_cost, gap=0.0)
-
-
-def save_result_json(result: SolveResult, path: str | Path,
-                     facility_ids: Optional[Sequence[int]] = None,
-                     wall_time: Optional[float] = None) -> None:
-    members = list(result.suite.members)
-    payload = {
-        "suite": members if facility_ids is None
-                 else [int(facility_ids[j]) for j in members],
-        "cost": result.cost,
-        "lower_bound": result.lower_bound,
-        "gap": result.gap,
-        "wall_time": wall_time,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -51,9 +51,10 @@ class TestFit:
         assert manifest["timeouts"] == []
 
     def test_forced_timeout_recorded_with_bit_clear(self, tmp_path):
-        # exceeds a 1 ms budget in the branch-and-bound but passes prescreens
-        dims = [(3, 4, 4), (3, 1, 6), (5, 1, 5), (5, 2, 4), (4, 1, 6), (5, 2, 1)]
-        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(9, 5, 4))])
+        # passes the prescreens and the volume bound, and its NO_FIT proof
+        # takes about 370,000 branch-and-bound nodes, so 1 ms always runs out
+        dims = [(8, 5, 5)] * 7
+        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(15, 12, 11))])
         shipments = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in dims))]
         bpath, spath = tmp_path / "b.csv", tmp_path / "s.csv"
         save_boxes(boxes, bpath)

@@ -1,8 +1,17 @@
-"""Nesting sets and the tiered shipment-to-box feasibility scan."""
+"""Nesting sets, the tiered shipment-to-box feasibility scan and fit.csv I/O."""
+import csv
+import io
+import json
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boxsuite import fitmatrix
 from boxsuite.fitmatrix import (
     FitMatrix,
     FitScanConfig,
@@ -210,3 +219,259 @@ def test_manifest_count_mismatch_detected(tmp_path):
     manifest.write_text(text)
     with pytest.raises(DataError):
         load_fit_matrix(out, ships, boxes)
+
+
+# -- fit.csv writer and reader ----------------------------------------------------
+
+def _csv_writer_bytes(mat, ships, boxes):
+    """fit.csv as the csv module writes it: the reference for save_csv."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["shipment_id", "box_id"])
+    for i, row in enumerate(mat.rows):
+        for j in row:
+            w.writerow([ships[i].id, boxes[j].id])
+    return buf.getvalue().encode()
+
+
+def _per_line_rows(path, ships, boxes):
+    """Rows of fit.csv read line by line with the csv module."""
+    index = {s.id: i for i, s in enumerate(ships)}
+    rows = [[] for _ in ships]
+    with open(path, newline="") as fh:
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
+            if not cells or (lineno == 1 and cells[0] == "shipment_id"):
+                continue
+            rows[index[int(cells[0])]].append(boxes.index_of(int(cells[1])))
+    return FitMatrix(len(ships), len(boxes), rows).rows
+
+
+def _sparse_world():
+    """Non-contiguous ids; shipment 30 fits nothing."""
+    boxes = BoxSet([CandidateBox(bid, Dims3(k + 1, 1, 1))
+                    for k, bid in enumerate((7, 1000, 3, 42))])
+    ships = [make_shipment(sid, [(1, 1, 1)]) for sid in (500, 30, 9, 123456789)]
+    return boxes, ships
+
+
+@pytest.fixture
+def per_line_calls(monkeypatch):
+    """Counts the per-line reader's calls; in-grammar files must not need it."""
+    calls = []
+    original = fitmatrix._read_rows_per_line
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(fitmatrix, "_read_rows_per_line", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 2), (), (1, 2, 3), (3,)],
+    [(), (), (), ()],
+    [(0, 1, 2, 3)] * 4,
+])
+def test_save_csv_matches_csv_writer(tmp_path, rows):
+    boxes, ships = _sparse_world()
+    mat = FitMatrix(len(ships), len(boxes), rows, config_hash="abc")
+    out = tmp_path / "fit.csv"
+    mat.save_csv(out, ships, boxes)
+    assert out.read_bytes() == _csv_writer_bytes(mat, ships, boxes)
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["set_bits"] == mat.set_bits
+    assert manifest["packable"] == sum(1 for r in rows if r)
+    assert len(manifest["boxes_digest"]) == len(manifest["shipments_digest"]) == 64
+
+
+ACCEPTED = {
+    # name: (file text, taken by the chunked numpy reader)
+    "crlf": ("shipment_id,box_id\r\n500,7\r\n500,3\r\n9,1000\r\n", True),
+    "lf": ("shipment_id,box_id\n500,7\n500,3\n9,1000\n", True),
+    "no header": ("500,7\r\n500,3\r\n9,1000\r\n", True),
+    "no final newline": ("shipment_id,box_id\r\n500,7\r\n9,1000", True),
+    "header only": ("shipment_id,box_id", True),
+    "empty file": ("", True),
+    "unsorted": ("9,1000\r\n500,3\r\n123456789,42\r\n500,7\r\n", True),
+    "duplicates": ("500,7\r\n500,7\r\n9,1000\r\n500,3\r\n9,1000\r\n", True),
+    "leading zeros": ("0500,007\n9,1000\n", True),
+    "blank lines": ("shipment_id,box_id\r\n\r\n500,7\r\n\r\n9,1000\r\n", False),
+    "spaces": ("shipment_id,box_id\n500, 7\n 9,1000\n", False),
+    "quoted": ('shipment_id,box_id\n"500","7"\n9,"1000"\n', False),
+    "other header": ("shipment_id,box\n500,7\n", False),
+    "bare cr": ("500,7\r9,1000\r", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED))
+def test_reader_variants_load_like_the_per_line_loop(tmp_path, per_line_calls, name):
+    text, fast = ACCEPTED[name]
+    boxes, ships = _sparse_world()
+    out = tmp_path / "fit.csv"
+    out.write_bytes(text.encode())
+    mat = load_fit_matrix(out, ships, boxes)
+    assert mat.rows == _per_line_rows(out, ships, boxes)
+    assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int64
+    assert bool(per_line_calls) != fast
+
+
+def test_reader_chunk_boundaries(tmp_path, monkeypatch, per_line_calls):
+    # Tiny chunks: lines straddle reads, and the out-of-order tail switches
+    # the reader from appending columns to sorting keys.
+    monkeypatch.setattr(fitmatrix, "_CHUNK_BYTES", 16)
+    boxes, ships = _sparse_world()
+    out = tmp_path / "fit.csv"
+    for text in ("shipment_id,box_id\r\n500,7\r\n500,1000\r\n500,3\r\n9,3\r\n"
+                 "9,42\r\n123456789,3\r\n123456789,42\r\n",
+                 "shipment_id,box_id\n500,7\n500,1000\n9,3\n9,42\n500,3\n500,7\n9,42\n"):
+        out.write_bytes(text.encode())
+        assert load_fit_matrix(out, ships, boxes).rows == _per_line_rows(out, ships, boxes)
+    assert per_line_calls == []
+
+
+REJECTED = {
+    # name: (file text, message after "<path>:")
+    "three columns": ("shipment_id,box_id\n500,7\n9,3,1\n", "3: expected shipment_id,box_id"),
+    "non-integer id": ("shipment_id,box_id\n500,7\n9,x\n", "3: non-integer id"),
+    "unknown shipment": ("500,7\r\n501,7\r\n", "2: unknown shipment id 501"),
+    "unknown box": ("shipment_id,box_id\r\n500,7\r\n9,8\r\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_reader_rejects_with_the_per_line_message(tmp_path, name):
+    text, where = REJECTED[name]
+    boxes, ships = _sparse_world()
+    out = tmp_path / "fit.csv"
+    out.write_bytes(text.encode())
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, ships, boxes)
+    assert str(exc.value) == (f"{out}:{where}" if where else "unknown box id 8")
+
+
+def test_reader_does_not_saturate_oversized_ids(tmp_path):
+    # numpy would read the 20-digit id as int64's maximum, a known id here.
+    boxes, ships = _sparse_world()
+    ships.append(make_shipment(2**63 - 1, [(1, 1, 1)]))
+    out = tmp_path / "fit.csv"
+    out.write_bytes(b"500,7\r\n99999999999999999999,7\r\n")
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, ships, boxes)
+    assert str(exc.value) == f"{out}:2: unknown shipment id 99999999999999999999"
+
+
+def test_repeated_shipment_ids_load_into_the_last_row(tmp_path, per_line_calls):
+    boxes, ships = _sparse_world()
+    ships += [make_shipment(9, [(1, 1, 1)]), make_shipment(500, [(1, 1, 1)])]
+    out = tmp_path / "fit.csv"
+    out.write_bytes(b"500,7\r\n9,1000\r\n500,3\r\n")
+    mat = load_fit_matrix(out, ships, boxes)
+    assert mat.rows == _per_line_rows(out, ships, boxes) == ((), (), (), (), (1,), (0, 2))
+    assert per_line_calls == []
+
+
+def test_manifest_mismatch_message(tmp_path):
+    boxes, ships = _sparse_world()
+    mat = FitMatrix(len(ships), len(boxes), [(0, 2), (), (1,), (3,)])
+    out = tmp_path / "fit.csv"
+    mat.save_csv(out, ships, boxes)
+    manifest_path = out.with_suffix(".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["set_bits"] = 5
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, ships, boxes)
+    assert str(exc.value) == "fit matrix manifest disagrees on set_bits: 5 != 4"
+
+
+def test_manifest_digests_refuse_other_inputs(tmp_path):
+    boxes, ships = _random_world(61, n_ships=4)
+    mat, _ = compute_fit_matrix(ships, boxes)
+    out = tmp_path / "fits.csv"
+    mat.save_csv(out, ships, boxes)
+    # Same ids and count, one carton dimension changed.
+    c = ships[0].cartons[0]
+    grown = Carton(Dims3(c.dims.a + 1, c.dims.b, c.dims.c), c.height_oriented,
+                   c.bottom_resting)
+    other = [Shipment(ships[0].id, (grown, *ships[0].cartons[1:])), *ships[1:]]
+    with pytest.raises(DataError, match="disagrees on shipments_digest"):
+        load_fit_matrix(out, other, boxes)
+    bx = boxes[0]
+    other_boxes = BoxSet([CandidateBox(bx.id, Dims3(bx.inner.a, bx.inner.b, bx.inner.c + 0.5)),
+                          *boxes.boxes[1:]])
+    with pytest.raises(DataError, match="disagrees on boxes_digest"):
+        load_fit_matrix(out, ships, other_boxes)
+    # A manifest written before the digests existed still loads.
+    manifest_path = out.with_suffix(".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["boxes_digest"], manifest["shipments_digest"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert load_fit_matrix(out, other, other_boxes).rows == mat.rows
+
+
+def test_digests_ignore_input_order_and_locks(tmp_path):
+    boxes = BoxSet([CandidateBox(1, Dims3(1, 2, 3)), CandidateBox(2, Dims3(3, 2, 1)),
+                    CandidateBox(3, Dims3(2, 2, 2))])
+    tied = BoxSet(boxes.boxes[::-1], locked_ids=[3])  # equal volumes keep input order
+    assert boxes.ids != tied.ids
+    ships = [make_shipment(4, [(1, 1, 1), (2, 1, 1)]), make_shipment(5, [(1, 1, 1)])]
+    mat, _ = compute_fit_matrix(ships, boxes)
+    out = tmp_path / "fit.csv"
+    mat.save_csv(out, ships, boxes)
+    shuffled = [Shipment(s.id, s.cartons[::-1]) for s in ships[::-1]]
+    back = load_fit_matrix(out, shuffled, tied)
+
+    def pairs(m, ss, bs):
+        return {(ss[i].id, bs[j].id) for i, row in enumerate(m.rows) for j in row}
+
+    assert pairs(back, shuffled, tied) == pairs(mat, ships, boxes) and mat.set_bits == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_csv_round_trip_of_random_matrices(data):
+    n = data.draw(st.integers(0, 6), label="n")
+    J = data.draw(st.integers(1, 6), label="J")
+    any_id = st.one_of(st.integers(0, 99), st.integers(-10**20, 10**20))
+    ship_ids = data.draw(st.lists(any_id, min_size=n, max_size=n, unique=True))
+    box_ids = data.draw(st.lists(any_id, min_size=J, max_size=J, unique=True))
+    rows = [data.draw(st.lists(st.integers(0, J - 1), unique=True)) for _ in range(n)]
+    boxes = BoxSet([CandidateBox(bid, Dims3(k + 1, 1, 1)) for k, bid in enumerate(box_ids)])
+    ships = [make_shipment(sid, [(1, 1, 1)]) for sid in ship_ids]
+    mat = FitMatrix(n, J, rows)
+    assert mat.rows == tuple(tuple(sorted(r)) for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "fit.csv"
+        mat.save_csv(out, ships, boxes)
+        assert out.read_bytes() == _csv_writer_bytes(mat, ships, boxes)
+        back = load_fit_matrix(out, ships, boxes)
+    assert back.rows == mat.rows
+    assert np.array_equal(back.indptr, mat.indptr)
+    assert np.array_equal(back.indices, mat.indices)
+
+
+def test_csr_accessors_and_fitting_boxes_view():
+    mat = FitMatrix(4, 5, [[3, 1, 3], [], [4], [0, 2]])
+    assert mat.indptr.tolist() == [0, 2, 2, 3, 5]
+    assert mat.indices.tolist() == [1, 3, 4, 0, 2]
+    assert mat.rows == ((1, 3), (), (4,), (0, 2)) and mat.set_bits == 5
+    assert [mat.is_set(0, j) for j in range(5)] == [False, True, False, True, False]
+    assert not any(mat.is_set(1, j) for j in range(5))
+    packs = mat.packables()
+    assert packs.W == (0, 2, 3) and packs.I_hat == 3
+    assert dict(packs.fitting_boxes) == {0: (1, 3), 2: (4,), 3: (0, 2)}
+    assert 1 not in packs.fitting_boxes and 7 not in packs.fitting_boxes
+    with pytest.raises(DataError):
+        FitMatrix(1, 5, [[5]])
+    with pytest.raises(DataError):
+        FitMatrix(2, 5, [[1]])
+
+
+def test_scan_blocks_do_not_change_rows(monkeypatch):
+    boxes, ships = _random_world(62, n_ships=7)
+    whole, _ = compute_fit_matrix(ships, boxes)
+    monkeypatch.setattr(fitmatrix, "_SCAN_BLOCK", 2)
+    blocked, _ = compute_fit_matrix(ships, boxes)
+    assert blocked.rows == whole.rows
+    assert np.array_equal(blocked.indptr, whole.indptr)

@@ -18,7 +18,6 @@ from boxsuite.model import (
     load_shipments,
     save_boxes,
     save_shipments,
-    search_sorted_first,
     sort3,
 )
 
@@ -51,20 +50,6 @@ def test_liquid_volume_examples():
 def test_liquid_volume_permutation_invariant(perm):
     s = Shipment(1, (Carton(Dims3(*perm)),))
     assert liquid_volume(s) == pytest.approx(24.0)
-
-
-def test_search_sorted_first_examples():
-    assert search_sorted_first([1, 2, 4, 8], 3) == 3
-    assert search_sorted_first([1, 2, 4, 8], 9) == 5
-    assert search_sorted_first([1, 2, 4, 8], 1) == 1
-
-
-@given(st.lists(st.integers(0, 50), min_size=0, max_size=12), st.integers(0, 55))
-def test_search_sorted_first_matches_linear_scan(values, w):
-    values.sort()
-    got = search_sorted_first(values, w)
-    want = next((i for i, v in enumerate(values, start=1) if v >= w), len(values) + 1)
-    assert got == want
 
 
 def test_dims_must_be_positive():
