@@ -4,11 +4,14 @@ For each shipment the candidate boxes are visited in volume order starting at
 the first box that can hold the shipment's liquid volume. Decisions cascade
 from cheap to expensive: per-carton necessity, pair/triple pre-screens, the
 one-row stacking construction, and then an exact decision: the two/three-carton
-solvers, or the branch-and-bound solver, which from five cartons on is preceded
-by a dual-feasible-function volume bound (``dff_refutes``) that proves most
-NO_FITs without search. Every positive verdict is propagated to
-all boxes the current box nests into, which both skips work and keeps rows
-closed under nesting.
+solvers, or the branch-and-bound solver. From five cartons on the search is
+preceded by a dual-feasible-function volume bound (``dff_refutes``) that
+proves most NO_FITs without search, and from six on also by an extreme-point
+packer (``pack_extreme_points``) that finds most FITs in milliseconds. A
+packing from the packer or the search counts only after ``check_witness``
+accepts it; a search packing that fails the check is an internal error.
+Every positive verdict is propagated to all boxes the current box nests
+into, which both skips work and keeps rows closed under nesting.
 
 A scanned row is one byte per box. Rows are packed a block of shipments at a
 time into the matrix's CSR form, which every later layer reads and writes
@@ -21,6 +24,7 @@ digests of the boxes and shipments, which ``load_fit_matrix`` checks.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -38,9 +42,12 @@ from boxsuite.fitting import (
     FitProblem,
     Outcome,
     SolverConfig,
+    carton_key,
+    check_witness,
     dff_refutes,
     fits_exact_small,
     fits_stacking,
+    pack_extreme_points,
     solve_fit,
 )
 from boxsuite.model import (
@@ -114,7 +121,6 @@ class FitScanConfig:
             "time_limit": self.solver.time_limit,
             "identical_symmetry": self.solver.use_identical_symmetry,
             "orthant_symmetry": self.solver.use_orthant_symmetry,
-            "anchor_rule": self.solver.anchor_rule,
             "enforce_ho": self.enforce_ho,
             "enforce_br": self.enforce_br,
             "use_prescreens": self.use_prescreens,
@@ -454,20 +460,17 @@ def _lookup(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> Optional[n
 # -- the scan ------------------------------------------------------------------
 
 
-def _carton_signature(c: Carton, enforce_ho: bool, enforce_br: bool):
-    ho = enforce_ho and c.height_oriented
-    br = enforce_br and c.bottom_resting
-    p, q, r = c.dims.as_tuple()
-    if ho:
-        return ("ho", (p, q) if p >= q else (q, p), r, br)
-    return ("free", tuple(sorted((p, q, r), reverse=True)), br)
-
-
 def _box_key(box_dims: tuple[float, float, float], pinned: bool):
     x, y, z = box_dims
     if pinned:
         return ((x, y) if x >= y else (y, x)) + (z,)
     return tuple(sorted(box_dims, reverse=True))
+
+
+def _packs(problem: FitProblem) -> bool:
+    """The extreme-point packer finds a packing that passes the re-check."""
+    witness = pack_extreme_points(problem)
+    return witness is not None and check_witness(problem, witness)
 
 
 class _ShipmentScanner:
@@ -481,9 +484,8 @@ class _ShipmentScanner:
 
     def _cached_verdict(self, cartons: tuple[Carton, ...], box_dims, pinned: bool,
                         solver_cfg: SolverConfig) -> Outcome:
-        sig = tuple(sorted(
-            _carton_signature(c, self.cfg.enforce_ho, self.cfg.enforce_br)
-            for c in cartons))
+        sig = tuple(sorted(carton_key(c, self.cfg.enforce_ho, self.cfg.enforce_br)
+                           for c in cartons))
         key = (sig, _box_key(box_dims, pinned))
         hit = self.memo.get(key)
         if hit is not None:
@@ -497,15 +499,20 @@ class _ShipmentScanner:
             # A four-carton NO_FIT search takes about a millisecond; the
             # screen is kept for the orders whose proofs run long.
             out = Outcome.NO_FIT
+        elif len(cartons) >= 6 and _packs(prob):
+            # On 4- and 5-carton orders the packer costs more than the
+            # searches it settles.
+            out = Outcome.FIT
         else:
-            out = solve_fit(prob, solver_cfg).outcome
-            if out is Outcome.TIMED_OUT and self.cfg.retry_time_limit:
-                retry = SolverConfig(
-                    time_limit=self.cfg.retry_time_limit,
-                    use_identical_symmetry=solver_cfg.use_identical_symmetry,
-                    use_orthant_symmetry=solver_cfg.use_orthant_symmetry,
-                    anchor_rule=solver_cfg.anchor_rule)
-                out = solve_fit(prob, retry).outcome
+            verdict = solve_fit(prob, solver_cfg)
+            if verdict.timed_out and self.cfg.retry_time_limit:
+                verdict = solve_fit(prob, dataclasses.replace(
+                    solver_cfg, time_limit=self.cfg.retry_time_limit))
+            if verdict.is_fit and not check_witness(prob, verdict.witness):
+                raise RuntimeError(
+                    f"branch-and-bound witness fails the re-check: box "
+                    f"{box_dims}, cartons {[c.dims.as_tuple() for c in cartons]}")
+            out = verdict.outcome
         self.memo[key] = out
         return out
 
@@ -543,26 +550,19 @@ class _ShipmentScanner:
             row[j0:] = b"\x01" * (J - j0)
             return row, timeouts
 
-        ho_count = sum(1 for c in cartons if c.height_oriented) if cfg.enforce_ho else 0
-        br_count = sum(1 for c in cartons if c.bottom_resting) if cfg.enforce_br else 0
+        keys = [carton_key(c, cfg.enforce_ho, cfg.enforce_br) for c in cartons]
+        ho_count = sum(1 for ho, _, _ in keys if ho)
+        br_count = sum(1 for _, _, br in keys if br)
         pinned = ho_count > 0 or br_count > 0
         closure = nests.ho if pinned else nests.free
 
         # Vectorized per-carton necessity over all boxes at once.
         nec = np.ones(J, dtype=bool)
-        free_dims = [tuple(sorted(c.dims.as_tuple(), reverse=True))
-                     for c in cartons if not (cfg.enforce_ho and c.height_oriented)]
         eps = 1e-9 * float(boxes.dims.max()) if J else 0.0
-        if free_dims:
-            mx = np.max(np.array(free_dims), axis=0)
-            nec &= np.all(boxes.sorted_dims >= mx - eps, axis=1)
-        if cfg.enforce_ho:
-            ho_dims = [((c.dims.a, c.dims.b) if c.dims.a >= c.dims.b
-                        else (c.dims.b, c.dims.a)) + (c.dims.c,)
-                       for c in cartons if c.height_oriented]
-            if ho_dims:
-                mx = np.max(np.array(ho_dims), axis=0)
-                nec &= np.all(boxes.sorted_lw_dims >= mx - eps, axis=1)
+        for ho, view in ((False, boxes.sorted_dims), (True, boxes.sorted_lw_dims)):
+            dims = [d for h, d, _ in keys if h == ho]
+            if dims:
+                nec &= np.all(view >= np.max(np.array(dims), axis=0) - eps, axis=1)
 
         for j in range(j0, J):
             if row[j] or not nec[j]:

@@ -6,6 +6,8 @@ Layered from cheap to complete:
   are closed-form screens (exact for one carton, one-sided otherwise);
 - :func:`dff_refutes` is a one-sided dual-feasible-function volume bound
   that proves NO_FIT without search;
+- :func:`pack_extreme_points` is a constructive extreme-point packer that
+  proves FIT when it packs everything (one-sided, no clock);
 - :func:`fits_exact_small` settles two or three cartons exactly;
 - :func:`solve_fit` is the general branch-and-bound decision procedure;
 - :func:`oracle_fit` is an independent exhaustive reference used for
@@ -20,6 +22,7 @@ from boxsuite.fitting.checks import (
     fits_stacking,
     necessary_condition,
 )
+from boxsuite.fitting.extreme import pack_extreme_points
 from boxsuite.fitting.oracle import oracle_fit
 from boxsuite.fitting.small import fits_exact_small
 from boxsuite.fitting.solver import solve_fit
@@ -29,8 +32,8 @@ from boxsuite.fitting.types import (
     Outcome,
     Placement,
     SolverConfig,
+    carton_key,
     check_witness,
-    effective_sorted_dims,
     orientation_extents,
 )
 
@@ -41,14 +44,15 @@ __all__ = [
     "Placement",
     "SolverConfig",
     "aggregate_sorted_dims",
+    "carton_key",
     "check_witness",
     "dff_refutes",
-    "effective_sorted_dims",
     "fits_exact_small",
     "fits_single",
     "fits_stacking",
     "necessary_condition",
     "orientation_extents",
     "oracle_fit",
+    "pack_extreme_points",
     "solve_fit",
 ]

@@ -17,6 +17,13 @@ without affecting feasibility:
     confined to the lower-left-bottom half-intervals of the box. When
     bottom-resting enforcement is active the z half-interval restriction is
     dropped (floor constraints break the reflection argument).
+
+Intervals are stored per axis (``lo[a][i]``), so a branch copies three lists.
+Each node scans the undecided oriented pairs in a fixed order. An entailed
+pair is decided without an edge and the scan carries on, because no interval
+changed; a pair with exactly one feasible relation gets that edge and the
+scan restarts; otherwise the first pair with the fewest feasible relations
+becomes the branch pair, and only its relations are sorted, best slack first.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ from boxsuite.fitting.types import (
     Outcome,
     Placement,
     SolverConfig,
+    carton_key,
     orientation_extents,
 )
 
@@ -64,26 +72,18 @@ class _Search:
 
     # -- root construction ---------------------------------------------------
 
-    def _identity_key(self, i: int):
-        c = self.problem.cartons[i]
-        p, q, r = c.dims.as_tuple()
-        br = bool(self.problem.enforce_br and c.bottom_resting)
-        if self.problem.enforce_ho and c.height_oriented:
-            lw = (p, q) if p >= q else (q, p)
-            return ("ho", lw, r, br)
-        return ("free", tuple(sorted((p, q, r), reverse=True)), br)
-
     def run(self) -> FitVerdict:
         prob, box, eps = self.problem, self.box, self.eps
         n = prob.n
 
         # Group identical cartons consecutively (stable within each group).
+        key_of = [carton_key(c, prob.enforce_ho, prob.enforce_br) for c in prob.cartons]
         first_seen: dict = {}
-        for i in range(n):
-            first_seen.setdefault(self._identity_key(i), len(first_seen))
-        self.work2orig = sorted(range(n), key=lambda i: (first_seen[self._identity_key(i)], i))
+        for key in key_of:
+            first_seen.setdefault(key, len(first_seen))
+        self.work2orig = sorted(range(n), key=lambda i: (first_seen[key_of[i]], i))
         cartons = [prob.cartons[i] for i in self.work2orig]
-        keys = [self._identity_key(i) for i in self.work2orig]
+        keys = [key_of[i] for i in self.work2orig]
 
         options = []
         for c in cartons:
@@ -115,12 +115,12 @@ class _Search:
                 self.pair_sep[i, k] = table
 
         min_ext = [tuple(min(e[a] for e in opts) for a in range(3)) for opts in options]
-        lo = [[0.0, 0.0, 0.0] for _ in range(n)]
-        hi = [[box[a] - min_ext[i][a] for a in range(3)] for i in range(n)]
+        lo = [[0.0] * n for _ in range(3)]
+        hi = [[box[a] - min_ext[i][a] for i in range(n)] for a in range(3)]
 
         for i, c in enumerate(cartons):
             if prob.enforce_br and c.bottom_resting:
-                hi[i][2] = min(hi[i][2], 0.0)
+                hi[2][i] = min(hi[2][i], 0.0)
 
         # Anchor: smallest volume, ties to the lowest index; groups are
         # consecutive so this is the first member of its identical group.
@@ -129,32 +129,33 @@ class _Search:
             beta = next(w for w in range(n) if keys[w] == keys[beta])
             clamp_axes = (0, 1) if prob.enforce_br else (0, 1, 2)
             for a in clamp_axes:
-                hi[beta][a] = min(hi[beta][a], box[a] / 2.0)
+                hi[a][beta] = min(hi[a][beta], box[a] / 2.0)
 
         # Persistent zero-weight edges x_m <= x_{m+1} between consecutive
         # identical cartons.
-        self.edges = {0: [], 1: [], 2: []}  # axis -> list of (u, v, w)
-        self.ident_pairs = set()
+        self.edges = ([], [], [])  # per axis, (u, v, w) meaning x_v >= x_u + w
+        ident_pairs = set()
         if self.cfg.use_identical_symmetry:
             for i in range(n - 1):
                 if keys[i] == keys[i + 1]:
                     self.edges[0].append((i, i + 1, 0.0))
-                    self.ident_pairs.add((i, i + 1))
+                    ident_pairs.add((i, i + 1))
 
         self.n = n
-        self.cartons = cartons
-        self.ext: list[Optional[tuple]] = [None] * n
-        self.oriented = [False] * n
+        self.ext: list[Optional[tuple]] = [None] * n  # None until oriented
+        self.choice = [-1] * n  # index of the chosen option
         self.pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-        self.decided = {pair: False for pair in self.pairs}
+        # "k before i along x" contradicts the identical-order edge.
+        self.x_ordered = [pair in ident_pairs for pair in self.pairs]
+        self.decided = [False] * len(self.pairs)
         self.solution = None
 
         # Fix all single-option orientations up front.
         for i in range(n):
-            if len(options[i]) == 1 and not self._apply_orientation(i, 0, lo, hi):
+            if len(options[i]) == 1 and self._apply_orientation(i, 0, lo, hi) is None:
                 return self._verdict(Outcome.NO_FIT)
         for a in range(3):
-            if not self._propagate_axis(a, lo, hi):
+            if not self._propagate(self.edges[a], lo[a], hi[a]):
                 return self._verdict(Outcome.NO_FIT)
 
         try:
@@ -165,7 +166,7 @@ class _Search:
             return self._verdict(Outcome.NO_FIT)
         flo, fext = self.solution
         witness = tuple(
-            Placement(self.work2orig[w], fext[w], (flo[w][0], flo[w][1], flo[w][2]))
+            Placement(self.work2orig[w], fext[w], (flo[0][w], flo[1][w], flo[2][w]))
             for w in range(n)
         )
         witness = tuple(sorted(witness, key=lambda pl: pl.carton))
@@ -173,181 +174,211 @@ class _Search:
 
     # -- propagation ---------------------------------------------------------
 
-    def _propagate_axis(self, axis: int, lo, hi) -> bool:
-        """Relax all edges of one axis to fixpoint. False iff infeasible.
+    def _propagate(self, edges, lo, hi) -> bool:
+        """Relax one axis's edges over its ``lo``/``hi`` lists to fixpoint.
+        False iff infeasible.
 
         Without positive cycles a fixpoint is reached within n full passes
         (longest paths visit each node once); still changing after that means
         a positive cycle, i.e. contradictory orderings.
         """
-        edges = self.edges[axis]
+        if not edges:
+            return True
         eps = self.eps
         for _ in range(self.n + 2):
             changed = False
             for u, v, w in edges:
-                nl = lo[u][axis] + w
-                if nl > lo[v][axis] + _REL_CAP_SLACK:
-                    if nl > hi[v][axis] + eps:
+                nl = lo[u] + w
+                if nl > lo[v] + _REL_CAP_SLACK:
+                    if nl > hi[v] + eps:
                         return False
-                    lo[v][axis] = nl
+                    lo[v] = nl
                     changed = True
-                nh = hi[v][axis] - w
-                if nh < hi[u][axis] - _REL_CAP_SLACK:
-                    if nh < lo[u][axis] - eps:
+                nh = hi[v] - w
+                if nh < hi[u] - _REL_CAP_SLACK:
+                    if nh < lo[u] - eps:
                         return False
-                    hi[u][axis] = nh
+                    hi[u] = nh
                     changed = True
             if not changed:
                 return True
         return False
 
-    def _apply_orientation(self, i: int, opt_idx: int, lo, hi) -> bool:
+    def _apply_orientation(self, i: int, opt_idx: int, lo, hi) -> Optional[list]:
+        """Orient carton i: the axes whose interval it shrank, or None when
+        one of them empties."""
         e = self.options[i][opt_idx]
         self.ext[i] = e
-        self.oriented[i] = True
-        ok = True
+        self.choice[i] = opt_idx
+        shrunk = []
         for a in range(3):
             bound = self.box[a] - e[a]
-            if bound < hi[i][a]:
-                hi[i][a] = bound
-                if hi[i][a] < lo[i][a] - self.eps:
-                    ok = False
-        return ok
+            if bound < hi[a][i]:
+                hi[a][i] = bound
+                if bound < lo[a][i] - self.eps:
+                    return None
+                shrunk.append(a)
+        return shrunk
 
-    def _relation_candidates(self, pair, lo, hi):
-        """Feasible separation relations for an oriented pair, best slack first.
-
-        Returns (candidates, entailed) where an entailed relation already holds
-        for every coordinate choice in the current intervals (intervals only
-        tighten, so it stays satisfied; no edge needed).
-        """
-        i, k = pair
+    def _relations(self, p: int, lo, hi) -> list:
+        """Feasible separation relations (u, v, axis, w) of oriented pair p,
+        best slack first, ties in (axis, direction) order."""
+        i, k = self.pairs[p]
         eps = self.eps
         out = []
         for axis in range(3):
             for u, v in ((i, k), (k, i)):
-                if (u, v) == (k, i) and axis == 0 and pair in self.ident_pairs:
-                    continue  # contradicts the identical-order constraint
+                if u == k and axis == 0 and self.x_ordered[p]:
+                    continue
                 w = self.ext[u][axis]
-                if hi[u][axis] + w <= lo[v][axis] + eps:
-                    return None, (u, v, axis, w)
-                slack = hi[v][axis] - (lo[u][axis] + w)
+                slack = hi[axis][v] - (lo[axis][u] + w)
                 if slack >= -eps:
                     out.append((-slack, len(out), (u, v, axis, w)))
         out.sort()
-        return [c for _, _, c in out], None
+        return [c for _, _, c in out]
+
+    def _undo(self, trail) -> None:
+        for p, axis in reversed(trail):
+            self.decided[p] = False
+            if axis >= 0:
+                self.edges[axis].pop()
 
     # -- search --------------------------------------------------------------
 
     def _dfs(self, lo, hi) -> bool:
         if perf_counter() > self.deadline:
             raise _TimeUp
-        trail = []  # locally decided pairs (with or without an edge)
-
-        def undo_trail():
-            for pair, has_edge, axis in reversed(trail):
-                self.decided[pair] = False
-                if has_edge:
-                    self.edges[axis].pop()
+        ext, decided, pairs, x_ordered = self.ext, self.decided, self.pairs, self.x_ordered
+        edges = self.edges
+        eps = self.eps
+        neg_eps = -eps
+        trail = []  # locally decided pairs: (pair index, edge axis or -1)
 
         # Forced moves: decide every pair that is entailed or has exactly one
-        # feasible relation left, until stable.
-        while True:
-            forced = None
-            branch_pair = None
-            branch_cands = None
-            for pair in self.pairs:
-                if self.decided[pair]:
-                    continue
-                i, k = pair
-                if not (self.oriented[i] and self.oriented[k]):
-                    continue
-                cands, entailed = self._relation_candidates(pair, lo, hi)
-                if entailed is not None:
-                    self.decided[pair] = True
-                    trail.append((pair, False, 0))
-                    self.nodes += 1
-                    forced = "entailed"
-                    break
-                if not cands:
-                    undo_trail()
-                    return False
-                if len(cands) == 1:
-                    forced = ("edge", pair, cands[0])
-                    break
-                if branch_cands is None or len(cands) < len(branch_cands):
-                    branch_pair, branch_cands = pair, cands
-            if forced is None:
-                break
-            if forced == "entailed":
+        # feasible relation left, until stable. A relation (u, v, axis) is
+        # entailed when hi[u] + w <= lo[v] + eps, feasible when its slack
+        # hi[v] - (lo[u] + w) is at least -eps.
+        n_pairs = len(pairs)
+        branch, branch_count = -1, 0
+        p = 0
+        while p < n_pairs:
+            if decided[p]:
+                p += 1
                 continue
-            _, pair, (u, v, axis, w) = forced
-            self.decided[pair] = True
-            self.edges[axis].append((u, v, w))
-            trail.append((pair, True, axis))
+            i, k = pairs[p]
+            ei = ext[i]
+            ek = ext[k]
+            if ei is None or ek is None:
+                p += 1
+                continue
+            count = 0
+            for a in range(3):
+                la = lo[a]
+                ha = hi[a]
+                lo_i = la[i]
+                lo_k = la[k]
+                hi_i = ha[i]
+                hi_k = ha[k]
+                w = ei[a]
+                if hi_i + w <= lo_k + eps:
+                    break
+                if hi_k - (lo_i + w) >= neg_eps:
+                    count += 1
+                    only = (i, k, a, w)
+                if a or not x_ordered[p]:
+                    w = ek[a]
+                    if hi_k + w <= lo_i + eps:
+                        break
+                    if hi_i - (lo_k + w) >= neg_eps:
+                        count += 1
+                        only = (k, i, a, w)
+            else:
+                if count == 0:
+                    self._undo(trail)
+                    return False
+                if count > 1:
+                    if branch < 0 or count < branch_count:
+                        branch, branch_count = p, count
+                    p += 1
+                    continue
+                u, v, a, w = only
+                decided[p] = True
+                edges[a].append((u, v, w))
+                trail.append((p, a))
+                self.nodes += 1
+                la = lo[a]
+                nl = la[u] + w
+                if nl > la[v]:
+                    la[v] = nl
+                if not self._propagate(edges[a], la, hi[a]):
+                    self._undo(trail)
+                    return False
+                branch, p = -1, 0
+                continue
+            # Entailed: no interval changed, so the pairs already scanned
+            # would answer the same; carry on from the next one.
+            decided[p] = True
+            trail.append((p, -1))
             self.nodes += 1
-            nl = lo[u][axis] + w
-            if nl > lo[v][axis]:
-                lo[v][axis] = nl
-            if not self._propagate_axis(axis, lo, hi):
-                undo_trail()
-                return False
+            p += 1
 
-        undecided_orient = [i for i in range(self.n) if not self.oriented[i]]
-        if branch_pair is None and not undecided_orient:
-            self.solution = ([row[:] for row in lo], list(self.ext))
+        undecided_orient = [i for i in range(self.n) if ext[i] is None]
+        if branch < 0 and not undecided_orient:
+            self.solution = ([lo[0][:], lo[1][:], lo[2][:]], list(ext))
             return True
 
         # Branch on the smallest decision: an orientation choice or a pair
         # relation, whichever has fewer alternatives (pairs win ties).
+        options = self.options
         best_orient = None
         if undecided_orient:
-            best_orient = min(undecided_orient, key=lambda i: (len(self.options[i]), i))
-        if branch_pair is not None and (
-            best_orient is None or len(branch_cands) <= len(self.options[best_orient])
-        ):
-            pair = branch_pair
-            for u, v, axis, w in branch_cands:
+            best_orient = min(undecided_orient, key=lambda i: (len(options[i]), i))
+        if branch >= 0 and (best_orient is None
+                            or branch_count <= len(options[best_orient])):
+            for u, v, a, w in self._relations(branch, lo, hi):
                 self.nodes += 1
-                nlo = [row[:] for row in lo]
-                nhi = [row[:] for row in hi]
-                nl = nlo[u][axis] + w
-                if nl > nlo[v][axis]:
-                    nlo[v][axis] = nl
-                self.decided[pair] = True
-                self.edges[axis].append((u, v, w))
-                if self._propagate_axis(axis, nlo, nhi) and self._dfs(nlo, nhi):
+                nlo = [lo[0][:], lo[1][:], lo[2][:]]
+                nhi = [hi[0][:], hi[1][:], hi[2][:]]
+                la = nlo[a]
+                nl = la[u] + w
+                if nl > la[v]:
+                    la[v] = nl
+                decided[branch] = True
+                edges[a].append((u, v, w))
+                if self._propagate(edges[a], la, nhi[a]) and self._dfs(nlo, nhi):
                     return True
-                self.edges[axis].pop()
-                self.decided[pair] = False
-            undo_trail()
+                edges[a].pop()
+                decided[branch] = False
+            self._undo(trail)
             return False
 
         i = best_orient
-        for opt_idx in range(len(self.options[i])):
-            e = self.options[i][opt_idx]
+        choice = self.choice
+        for opt_idx in range(len(options[i])):
             compatible = True
             for k in range(self.n):
-                if k == i or not self.oriented[k]:
+                if k == i or ext[k] is None:
                     continue
-                pair = (i, k) if i < k else (k, i)
-                table = self.pair_sep[pair]
-                key = (opt_idx, self.options[k].index(self.ext[k]))
-                if pair == (k, i):
-                    key = (key[1], key[0])
-                if not table[key]:
+                if i < k:
+                    sep = self.pair_sep[i, k][opt_idx, choice[k]]
+                else:
+                    sep = self.pair_sep[k, i][choice[k], opt_idx]
+                if not sep:
                     compatible = False
                     break
             if not compatible:
                 continue
             self.nodes += 1
-            nlo = [row[:] for row in lo]
-            nhi = [row[:] for row in hi]
-            if self._apply_orientation(i, opt_idx, nlo, nhi):
-                if all(self._propagate_axis(a, nlo, nhi) for a in range(3)):
-                    if self._dfs(nlo, nhi):
-                        return True
-            self.ext[i] = None
-            self.oriented[i] = False
-        undo_trail()
+            nlo = [lo[0][:], lo[1][:], lo[2][:]]
+            nhi = [hi[0][:], hi[1][:], hi[2][:]]
+            # Every axis is at its fixpoint on entry, so only the axes the
+            # orientation shrank can change.
+            shrunk = self._apply_orientation(i, opt_idx, nlo, nhi)
+            if shrunk is not None and all(
+                    self._propagate(edges[a], nlo[a], nhi[a]) for a in shrunk):
+                if self._dfs(nlo, nhi):
+                    return True
+            ext[i] = None
+            choice[i] = -1
+        self._undo(trail)
         return False

@@ -15,7 +15,7 @@ __all__ = [
     "Placement",
     "SolverConfig",
     "orientation_extents",
-    "effective_sorted_dims",
+    "carton_key",
     "check_witness",
 ]
 
@@ -92,20 +92,17 @@ class SolverConfig:
     """Branch-and-bound controls.
 
     Both symmetry-breaking families only prune symmetric duplicates; toggling
-    them never changes the verdict. The anchor rule picks the carton whose
-    position gets the first-orthant restriction.
+    them never changes the verdict. The first-orthant restriction goes on
+    the smallest-volume carton.
     """
 
     time_limit: float = 5.0
     use_identical_symmetry: bool = True
     use_orthant_symmetry: bool = True
-    anchor_rule: str = "smallest-volume"
 
     def __post_init__(self) -> None:
         if not self.time_limit > 0:
             raise DataError("time_limit must be positive")
-        if self.anchor_rule != "smallest-volume":
-            raise DataError(f"unknown anchor rule {self.anchor_rule!r}")
 
 
 def orientation_extents(carton: Carton, enforce_ho: bool = True) -> tuple[tuple[float, float, float], ...]:
@@ -122,18 +119,21 @@ def orientation_extents(carton: Carton, enforce_ho: bool = True) -> tuple[tuple[
     return tuple(sorted(opts))
 
 
-def effective_sorted_dims(carton: Carton, enforce_ho: bool = True) -> tuple[float, float, float]:
-    """Per-carton sorted dims for the scan heuristics.
+def carton_key(carton: Carton, enforce_ho: bool = True,
+               enforce_br: bool = True) -> tuple[bool, tuple[float, float, float], bool]:
+    """Canonical identity of a carton under the active HO/BR rules.
 
-    Free cartons sort all three components nonincreasing; height-oriented
-    cartons sort only length/width and keep the height in place.
+    Returns (height pinned, dims, bottom resting). A height-oriented carton
+    sorts only length/width nonincreasing and keeps its height third; a free
+    one sorts all three dims nonincreasing. Two cartons with equal keys are
+    interchangeable in every fit problem.
     """
     p, q, r = carton.dims.as_tuple()
+    br = bool(enforce_br and carton.bottom_resting)
     if enforce_ho and carton.height_oriented:
-        lw = (p, q) if p >= q else (q, p)
-        return (lw[0], lw[1], r)
+        return (True, (p, q, r) if p >= q else (q, p, r), br)
     a, b, c = sorted((p, q, r), reverse=True)
-    return (a, b, c)
+    return (False, (a, b, c), br)
 
 
 def check_witness(problem: FitProblem, witness: Sequence[Placement], eps: Optional[float] = None) -> bool:

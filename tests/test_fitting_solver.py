@@ -131,3 +131,33 @@ def test_rotation_invariance_free_cartons(dims, box, perm):
         Dims3(*(box[perm[a]] for a in range(3))),
     )
     assert solve_fit(base, GENEROUS).outcome is solve_fit(rotated, GENEROUS).outcome
+
+
+# Node counts of the search tree, recorded when the solver was first made
+# faster: a speed-up must explore the same tree, not a different one.
+RECORDED_TREES = [
+    ((15, 12, 7), [((12, 8, 4), False), ((6, 5, 5), False), ((6, 5, 5), False),
+                   ((9, 5, 2), True), ((9, 5, 2), True), ((9, 5, 2), True)],
+     Outcome.FIT, 4339),
+    ((15, 10, 7), [((10, 7, 2), False)] * 3 + [((8, 5, 5), False)] * 3, Outcome.NO_FIT, 2480),
+    ((21, 8, 7), [((7, 6, 5), False)] * 2 + [((6, 6, 4), False)] * 2 + [((5, 4, 4), False)],
+     Outcome.FIT, 4268),
+    ((11, 10, 9), [((7, 6, 5), False)] * 2 + [((6, 6, 4), False)] * 2 + [((5, 4, 4), False)],
+     Outcome.NO_FIT, 5065),
+    ((13, 10, 5), [((5, 2, 2), False)] + [((9, 4, 3), False)] * 4, Outcome.FIT, 3751),
+]
+
+
+def test_search_tree_matches_the_recorded_one():
+    for box, cartons, outcome, nodes in RECORDED_TREES:
+        prob = FitProblem(tuple(Carton(Dims3(*d), bottom_resting=br) for d, br in cartons),
+                          Dims3(*box))
+        verdict = solve_fit(prob, GENEROUS)
+        assert (verdict.outcome, verdict.nodes) == (outcome, nodes), box
+    # the witness of the first one, as recorded
+    first = FitProblem(tuple(Carton(Dims3(*d), bottom_resting=br)
+                             for d, br in RECORDED_TREES[0][1]), Dims3(15, 12, 7))
+    assert [(pl.extents, pl.origin) for pl in solve_fit(first, GENEROUS).witness] == [
+        ((8.0, 12.0, 4.0), (2.0, 0.0, 2.0)), ((5.0, 6.0, 5.0), (10.0, 0.0, 2.0)),
+        ((5.0, 6.0, 5.0), (10.0, 6.0, 2.0)), ((2.0, 9.0, 5.0), (0.0, 0.0, 0.0)),
+        ((5.0, 9.0, 2.0), (2.0, 0.0, 0.0)), ((5.0, 9.0, 2.0), (7.0, 0.0, 0.0))]
