@@ -299,6 +299,12 @@ def write_outputs(outcome: RecommendOutcome, run: RunConfig, boxes: BoxSet,
     with (out / "suite.json").open("w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    if run.method == "lagrangian":
+        trace = outcome.result.bound_trace
+        with (out / "trace.json").open("w") as fh:
+            json.dump({"iterations": len(trace),
+                       "bound_trace": [list(pair) for pair in trace]}, fh)
+            fh.write("\n")
     if outcome.report is not None:
         outcome.report.to_csv(out / "report.csv")
         (out / "report.txt").write_text(outcome.report.to_text() + "\n")

@@ -4,11 +4,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from boxsuite.model import DataError
+from boxsuite.pmedian import kernels
 
 __all__ = [
     "PMedianInstance",
@@ -69,6 +71,11 @@ class PMedianInstance:
         if not np.isfinite(w).all() or (w <= 0).any():
             raise DataError("weights must be finite and positive")
         self.w = w
+
+    @cached_property
+    def sorted_rows(self) -> kernels.SortedRows:
+        """Cost-ordered view of d for kernels.rho, built on first use."""
+        return kernels.sort_rows(self.d)
 
     def suite(self, members) -> Suite:
         s = Suite(members)

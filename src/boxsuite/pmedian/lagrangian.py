@@ -39,7 +39,7 @@ def dual_value(inst: PMedianInstance, lam: np.ndarray) -> tuple[float, np.ndarra
     so the p cheapest contributions are opened (stable order on ties). Row i
     stands for w_i identical customers sharing the multiplier lam_i.
     """
-    rho = kernels.rho(inst.d, lam, inst.w)
+    rho = kernels.rho(inst.d, inst.sorted_rows, lam, inst.w)
     open_idx = np.argsort(rho, kind="stable")[: inst.p]
     value = float(rho[open_idx].sum() + (lam * inst.w).sum())
     return value, open_idx

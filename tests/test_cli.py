@@ -1,10 +1,13 @@
 """Command-line interface: flags, artifacts, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import boxsuite
 from boxsuite.cli import main
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, save_boxes, save_shipments
 
@@ -226,9 +229,14 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_help_via_subprocess(self):
+        # The child imports the package from where this process found it,
+        # whether that is an install or pytest's pythonpath setting.
+        src = str(Path(boxsuite.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "boxsuite.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         for cmd in ("fit", "recommend", "validate", "compare", "finetune",
                     "fitone"):

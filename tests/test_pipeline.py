@@ -161,6 +161,18 @@ class TestRecommend:
         assert [e["id"] for e in payload["suite"]] == list(out.box_ids)
         assert payload["gamma"] == out.gamma
 
+    @pytest.mark.parametrize("method", ["grasp", "lagrangian"])
+    def test_bound_trace_written_for_lagrangian_only(self, tiny, tmp_path, method):
+        boxes, shipments = tiny
+        out = recommend(RunConfig(p=2, method=method, out_dir=str(tmp_path)),
+                        shipments, boxes)
+        path = tmp_path / "trace.json"
+        assert path.exists() == (method == "lagrangian")
+        if path.exists():
+            trace = json.loads(path.read_text())
+            assert trace["iterations"] == len(out.result.bound_trace) > 0
+            assert [tuple(t) for t in trace["bound_trace"]] == list(out.result.bound_trace)
+
     @pytest.mark.parametrize("method", ["exact", "grasp", "lagrangian"])
     def test_repeated_orders_scale_objective_only(self, tiny, method):
         # Each order three times under fresh ids: the solver sees the same

@@ -189,6 +189,122 @@ class TestKernels:
                     exhaustive[0], abs=1e-7)
 
 
+def dense_rho(d, lam, w):
+    """rho read from every entry: the column sums of w_i * min(0, d_ij - lam_i)."""
+    red = d - lam[:, None]
+    return (np.where(red < 0.0, red, 0.0) * w[:, None]).sum(axis=0)
+
+
+def add_at_best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve,
+                     threshold, w):
+    """best_swap with the correction accumulated by np.add.at, one column at a
+    time in the tie order the kernel documents."""
+    p = suite_idx.shape[0]
+    pos = np.full(d.shape[1], -1, dtype=np.int64)
+    pos[suite_idx] = np.arange(p)
+    cols = np.flatnonzero(~suite_mask)
+    D = d[:, cols]
+    capture = d1[:, None] - D
+    gain = (np.where(capture > 0.0, capture, 0.0) * w[:, None]).sum(axis=0)
+    Z = np.where(D >= d1[:, None], np.minimum(d2[:, None], D) - d1[:, None], 0.0)
+    corr = np.zeros((p, cols.size))
+    np.add.at(corr, pos[c1], Z * w[:, None])
+    a_pos = corr.argmin(axis=0)
+    best = None
+    for k, b in enumerate(cols):
+        dk = float(-gain[k] + corr[a_pos[k], k])
+        if best is None or dk < best[0]:
+            best = (dk, int(b), int(suite_idx[a_pos[k]]))
+        if first_improve and dk < -threshold:
+            return dk, int(b), int(suite_idx[a_pos[k]])
+    return best if best is not None else (0.0, -1, -1)
+
+
+class TestSortedPrefixKernels:
+    """rho and best_swap against references that read the whole matrix.
+
+    Both must agree bit for bit, on float costs as well as integer ones, so
+    that no suite or bound depends on which reading is used.
+    """
+
+    def _matrices(self, rng):
+        for _ in range(12):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(2, 40))
+            ints = rng.integers(0, 8, size=(n, m)).astype(np.float64)
+            floats = rng.choice(rng.uniform(0.0, 50.0, size=9), size=(n, m))
+            for d in (ints, floats, rng.uniform(0.0, 50.0, size=(n, m))):
+                yield d, rng.choice([1.0, 3.0, 0.37], size=n)
+        # sort_rows sorts 2**16 entries at a time: 70 x 1500 takes two blocks.
+        yield rng.integers(0, 50, size=(70, 1500)).astype(np.float64), rng.uniform(0.5, 2.0, size=70)
+
+    def _bits(self, x):
+        assert x.dtype == np.float64
+        return x.view(np.int64)
+
+    def test_rho_matches_dense_reference_bitwise(self):
+        rng = np.random.default_rng(61)
+        for d, w in self._matrices(rng):
+            n, m = d.shape
+            view = kernels.sort_rows(d)
+            on_entries = d[np.arange(n), rng.integers(0, m, size=n)]
+            for lam in (on_entries,                      # on the strict < boundary
+                        np.zeros(n),
+                        np.full(n, d.max() + 1.0),       # every entry below
+                        rng.uniform(0.0, 60.0, size=n),
+                        np.where(rng.random(n) < 0.5, on_entries,
+                                 np.nextafter(on_entries, np.inf))):
+                assert np.array_equal(self._bits(kernels.rho(d, view, lam, w)),
+                                      self._bits(dense_rho(d, lam, w)))
+
+    def test_lagrangian_identical_with_dense_rho(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        insts = [PMedianInstance(rng.uniform(1.0, 100.0, size=(40, 15)), p=3,
+                                 w=rng.choice([1.0, 2.0, 0.5], size=40)),
+                 PMedianInstance(rng.integers(0, 30, size=(60, 25)), p=4)]
+        fast = [solve_lagrangian(inst) for inst in insts]
+        monkeypatch.setattr(kernels, "rho",
+                            lambda d, view, lam, w: dense_rho(d, lam, w))
+        for inst, a in zip(insts, fast):
+            b = solve_lagrangian(inst)
+            assert a.bound_trace == b.bound_trace
+            assert a.suite == b.suite
+            assert (a.lower_bound, a.cost, a.gap) == (b.lower_bound, b.cost, b.gap)
+
+    def test_best_swap_matches_add_at_reference(self):
+        rng = np.random.default_rng(71)
+        for d, w in self._matrices(rng):
+            m = d.shape[1]
+            p = int(rng.integers(1, m))
+            for members in (rng.choice(m, size=p, replace=False).tolist(),
+                            [int(d[0].argmax())]):       # p = 1
+                suite = Suite(members)
+                d1, d2, c1 = closest_two(PMedianInstance(d, len(suite), w), suite)
+                mask = np.zeros(m, dtype=bool)
+                mask[list(suite.members)] = True
+                state = (d, mask, np.array(suite.members, dtype=np.int64), c1, d1, d2)
+                for first in (False, True):
+                    assert (kernels.best_swap(*state, first, 1e-9, w)
+                            == add_at_best_swap(*state, first, 1e-9, w))
+
+    def test_best_swap_with_facilities_no_row_is_closest_to(self):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            d = rng.uniform(0.0, 10.0, size=(25, 12))
+            d[:, 6:9] += 100.0  # never anyone's closest once 0..5 are open
+            w = rng.choice([1.0, 2.5], size=25)
+            suite = Suite([0, 3, 6, 7, 8])
+            d1, d2, c1 = closest_two(PMedianInstance(d, 5, w), suite)
+            assert not np.isin(c1, [6, 7, 8]).any()
+            mask = np.zeros(12, dtype=bool)
+            mask[list(suite.members)] = True
+            state = (d, mask, np.array(suite.members, dtype=np.int64), c1, d1, d2)
+            for first in (False, True):
+                delta, b, a = kernels.best_swap(*state, first, 1e-9, w)
+                assert (delta, b, a) == add_at_best_swap(*state, first, 1e-9, w)
+                assert a in (6, 7, 8)  # removing an unused facility costs nothing
+
+
 class TestRowWeights:
     """A row of integer weight k against the same row repeated k times.
 
@@ -230,9 +346,10 @@ class TestRowWeights:
                     kernels.greedy_augment_costs(expanded.d, np.repeat(start, w),
                                                  expanded.w))
             lam = rng.integers(0, 70, size=weighted.n).astype(np.float64)
-            assert np.array_equal(kernels.rho(weighted.d, lam, weighted.w),
-                                  kernels.rho(expanded.d, np.repeat(lam, w),
-                                              expanded.w))
+            assert np.array_equal(
+                kernels.rho(weighted.d, weighted.sorted_rows, lam, weighted.w),
+                kernels.rho(expanded.d, expanded.sorted_rows, np.repeat(lam, w),
+                            expanded.w))
 
     def test_solvers_match_expanded_matrix(self):
         rng = np.random.default_rng(43)
