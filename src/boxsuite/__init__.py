@@ -10,7 +10,6 @@ from boxsuite.model import (
     CandidateBox,
     Carton,
     Dims3,
-    FoldableItem,
     Shipment,
     liquid_volume,
     load_boxes,
@@ -23,7 +22,6 @@ __all__ = [
     "CandidateBox",
     "Carton",
     "Dims3",
-    "FoldableItem",
     "Shipment",
     "liquid_volume",
     "load_boxes",

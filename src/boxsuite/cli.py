@@ -41,11 +41,17 @@ __all__ = ["main"]
 
 
 def _threads_default() -> int:
+    """Worker count from BOXSUITE_THREADS; 1 when it is unset or empty."""
     env = os.environ.get("BOXSUITE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DataError(f"BOXSUITE_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _load_cost_model(spec: str) -> CostModel:
@@ -110,7 +116,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             time_limit=args.time_limit_ms / 1000.0,
             use_identical_symmetry=not args.no_sym_identical,
             use_orthant_symmetry=not args.no_sym_orthant),
-        threads=args.threads)
+        threads=args.threads if args.threads is not None else _threads_default())
     fitm, packables = compute_fit_matrix(shipments, boxes, cfg=cfg)
     fitm.save_csv(args.out, shipments, boxes)
     print(f"fit matrix: {fitm.set_bits} bits over {fitm.n_shipments} shipments "
@@ -242,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--items", default=None)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--time-limit-ms", type=int, default=5000)
-    p_fit.add_argument("--threads", type=int, default=_threads_default())
+    p_fit.add_argument("--threads", type=int, default=None,
+                       help="worker processes (default: BOXSUITE_THREADS, else 1)")
     p_fit.add_argument("--no-sym-identical", action="store_true")
     p_fit.add_argument("--no-sym-orthant", action="store_true")
     p_fit.set_defaults(func=cmd_fit)

@@ -7,9 +7,11 @@ one-row stacking construction, and then an exact decision: the two/three-carton
 solvers, or the branch-and-bound solver. From five cartons on the search is
 preceded by a dual-feasible-function volume bound (``dff_refutes``) that
 proves most NO_FITs without search, and from six on also by an extreme-point
-packer (``pack_extreme_points``) that finds most FITs in milliseconds. A
-packing from the packer or the search counts only after ``check_witness``
-accepts it; a search packing that fails the check is an internal error.
+packer (``pack_extreme_points``) that finds most FITs in milliseconds. The
+scan always enforces the height-oriented (HO) and bottom-resting (BR) rules.
+A packing from the packer, the exact solvers or the search counts only after
+``check_witness`` accepts it; an exact-solver or search packing that fails
+the check is an internal error.
 Every positive verdict is propagated to all boxes the current box nests
 into, which both skips work and keeps rows closed under nesting.
 
@@ -24,7 +26,6 @@ digests of the boxes and shipments, which ``load_fit_matrix`` checks.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -83,9 +84,8 @@ class NestSets:
     ho: tuple[tuple[int, ...], ...]
 
 
-def compute_nest_sets(boxes: BoxSet, eps: Optional[float] = None) -> NestSets:
-    if eps is None:
-        eps = 1e-9 * float(boxes.dims.max()) if len(boxes) else 0.0
+def compute_nest_sets(boxes: BoxSet) -> NestSets:
+    eps = 1e-9 * float(boxes.dims.max())
     sd = boxes.sorted_dims
     lw = boxes.sorted_lw_dims
     free = []
@@ -103,17 +103,11 @@ def compute_nest_sets(boxes: BoxSet, eps: Optional[float] = None) -> NestSets:
 @dataclass(frozen=True)
 class FitScanConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
-    enforce_ho: bool = True
-    enforce_br: bool = True
-    use_prescreens: bool = True  # pair/triple exact checks for n >= 4
-    retry_time_limit: Optional[float] = None  # second attempt budget for timeouts
     threads: int = 1
 
     def __post_init__(self):
         if self.threads < 1:
             raise DataError("threads must be >= 1")
-        if self.retry_time_limit is not None and self.retry_time_limit <= 0:
-            raise DataError("retry_time_limit must be positive")
 
     def content_hash(self) -> str:
         """Hash of everything that affects scan results (threads excluded)."""
@@ -121,10 +115,6 @@ class FitScanConfig:
             "time_limit": self.solver.time_limit,
             "identical_symmetry": self.solver.use_identical_symmetry,
             "orthant_symmetry": self.solver.use_orthant_symmetry,
-            "enforce_ho": self.enforce_ho,
-            "enforce_br": self.enforce_br,
-            "use_prescreens": self.use_prescreens,
-            "retry_time_limit": self.retry_time_limit,
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -215,11 +205,6 @@ class FitMatrix:
         cols, bounds = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    def is_set(self, i: int, j: int) -> bool:
-        row = self.row(i)
-        k = int(np.searchsorted(row, j))
-        return k < row.size and bool(row[k] == j)
-
     @property
     def set_bits(self) -> int:
         return int(self.indices.size)
@@ -269,8 +254,13 @@ def _boxes_digest(boxes: BoxSet) -> str:
 
 
 def _shipments_digest(shipments: Sequence[Shipment]) -> str:
-    """sha256 of shipment ids, carton dims with HO/BR flags, and foldable
-    dims, over sorted records, so neither shipment nor item order matters."""
+    """sha256 of shipment ids and carton dims with HO/BR flags, over sorted
+    records, so neither shipment nor carton order matters.
+
+    Each record ends in ``|``, where foldable items' dims followed when
+    shipments could hold them; keeping it leaves the digest of every
+    manifest written before then unchanged.
+    """
     def dims(d: Dims3) -> str:
         return ",".join(repr(float(v)) for v in d.as_tuple())
 
@@ -279,7 +269,7 @@ def _shipments_digest(shipments: Sequence[Shipment]) -> str:
             f"{s.id}:"
             + ";".join(sorted(f"{dims(c.dims)},{c.height_oriented:d}{c.bottom_resting:d}"
                               for c in s.cartons))
-            + "|" + ";".join(sorted(dims(f.dims) for f in s.foldables))
+            + "|"
             for s in shipments):
         h.update(rec.encode() + b"\n")
     return h.hexdigest()
@@ -482,20 +472,13 @@ class _ShipmentScanner:
         self.cfg = cfg
         self.memo: dict = {}
 
-    def _cached_verdict(self, cartons: tuple[Carton, ...], box_dims, pinned: bool,
-                        solver_cfg: SolverConfig) -> Outcome:
-        sig = tuple(sorted(carton_key(c, self.cfg.enforce_ho, self.cfg.enforce_br)
-                           for c in cartons))
-        key = (sig, _box_key(box_dims, pinned))
+    def _cached_verdict(self, cartons: tuple[Carton, ...], box_dims, pinned: bool) -> Outcome:
+        key = (tuple(sorted(map(carton_key, cartons))), _box_key(box_dims, pinned))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        prob = FitProblem(cartons, Dims3(*box_dims),
-                          enforce_ho=self.cfg.enforce_ho,
-                          enforce_br=self.cfg.enforce_br)
-        if len(cartons) in (2, 3):
-            out = fits_exact_small(prob).outcome
-        elif len(cartons) >= 5 and dff_refutes(prob):
+        prob = FitProblem(cartons, Dims3(*box_dims))
+        if len(cartons) >= 5 and dff_refutes(prob):
             # A four-carton NO_FIT search takes about a millisecond; the
             # screen is kept for the orders whose proofs run long.
             out = Outcome.NO_FIT
@@ -504,13 +487,13 @@ class _ShipmentScanner:
             # searches it settles.
             out = Outcome.FIT
         else:
-            verdict = solve_fit(prob, solver_cfg)
-            if verdict.timed_out and self.cfg.retry_time_limit:
-                verdict = solve_fit(prob, dataclasses.replace(
-                    solver_cfg, time_limit=self.cfg.retry_time_limit))
+            if len(cartons) in (2, 3):
+                verdict, solver = fits_exact_small(prob), "exact 2/3-carton"
+            else:
+                verdict, solver = solve_fit(prob, self.cfg.solver), "branch-and-bound"
             if verdict.is_fit and not check_witness(prob, verdict.witness):
                 raise RuntimeError(
-                    f"branch-and-bound witness fails the re-check: box "
+                    f"{solver} witness fails the re-check: box "
                     f"{box_dims}, cartons {[c.dims.as_tuple() for c in cartons]}")
             out = verdict.outcome
         self.memo[key] = out
@@ -519,24 +502,23 @@ class _ShipmentScanner:
     def _prescreens_pass(self, cartons, box_dims, pinned) -> bool:
         # Pairs and triples are necessary conditions; both go through the
         # exact small solver (memoized).
-        solver_cfg = self.cfg.solver
         n = len(cartons)
         for a in range(n):
             for b in range(a + 1, n):
                 if self._cached_verdict((cartons[a], cartons[b]), box_dims,
-                                        pinned, solver_cfg) is not Outcome.FIT:
+                                        pinned) is not Outcome.FIT:
                     return False
         for a in range(n):
             for b in range(a + 1, n):
                 for c in range(b + 1, n):
                     if self._cached_verdict((cartons[a], cartons[b], cartons[c]),
-                                            box_dims, pinned, solver_cfg) is not Outcome.FIT:
+                                            box_dims, pinned) is not Outcome.FIT:
                         return False
         return True
 
     def scan(self, shipment: Shipment) -> tuple[bytearray, list[tuple[int, int]]]:
         """The shipment's row as one byte per box (1 = fits) and its timeouts."""
-        boxes, nests, cfg = self.boxes, self.nests, self.cfg
+        boxes, nests = self.boxes, self.nests
         J = len(boxes)
         j0 = bisect_left(boxes.volumes, liquid_volume(shipment))
         row = bytearray(J)
@@ -545,12 +527,7 @@ class _ShipmentScanner:
             return row, timeouts
         cartons = shipment.cartons
         n = len(cartons)
-        if n == 0:
-            # Foldable items conform to any space of sufficient volume.
-            row[j0:] = b"\x01" * (J - j0)
-            return row, timeouts
-
-        keys = [carton_key(c, cfg.enforce_ho, cfg.enforce_br) for c in cartons]
+        keys = [carton_key(c) for c in cartons]
         ho_count = sum(1 for ho, _, _ in keys if ho)
         br_count = sum(1 for _, _, br in keys if br)
         pinned = ho_count > 0 or br_count > 0
@@ -558,7 +535,7 @@ class _ShipmentScanner:
 
         # Vectorized per-carton necessity over all boxes at once.
         nec = np.ones(J, dtype=bool)
-        eps = 1e-9 * float(boxes.dims.max()) if J else 0.0
+        eps = 1e-9 * float(boxes.dims.max())
         for ho, view in ((False, boxes.sorted_dims), (True, boxes.sorted_lw_dims)):
             dims = [d for h, d, _ in keys if h == ho]
             if dims:
@@ -574,16 +551,14 @@ class _ShipmentScanner:
                 for k in closure[j]:
                     row[k] = 1
                 continue
-            if cfg.use_prescreens and n >= 4 and not self._prescreens_pass(
-                    cartons, box_dims, pinned):
+            if n >= 4 and not self._prescreens_pass(cartons, box_dims, pinned):
                 continue
             lw_box = Dims3(*_box_key(box_dims, True))
-            if fits_stacking(cartons, lw_box, ho_count, br_count,
-                             enforce_ho=cfg.enforce_ho, enforce_br=cfg.enforce_br):
+            if fits_stacking(cartons, lw_box, ho_count, br_count):
                 for k in closure[j]:
                     row[k] = 1
                 continue
-            out = self._cached_verdict(cartons, box_dims, pinned, cfg.solver)
+            out = self._cached_verdict(cartons, box_dims, pinned)
             if out is Outcome.TIMED_OUT:
                 timeouts.append((shipment.id, boxes[j].id))
             if out is Outcome.FIT:

@@ -16,7 +16,6 @@ Layered from cheap to complete:
   orientation/floor constraints.
 """
 from boxsuite.fitting.checks import (
-    aggregate_sorted_dims,
     dff_refutes,
     fits_single,
     fits_stacking,
@@ -43,7 +42,6 @@ __all__ = [
     "Outcome",
     "Placement",
     "SolverConfig",
-    "aggregate_sorted_dims",
     "carton_key",
     "check_witness",
     "dff_refutes",

@@ -12,7 +12,6 @@ from boxsuite.model import Carton, Dims3, tolerance_for
 __all__ = [
     "fits_single",
     "fits_stacking",
-    "aggregate_sorted_dims",
     "necessary_condition",
     "dff_refutes",
 ]
@@ -48,15 +47,15 @@ def _pinned(carton: Carton, enforce_ho: bool, enforce_br: bool) -> bool:
     return (enforce_ho and carton.height_oriented) or (enforce_br and carton.bottom_resting)
 
 
-def aggregate_sorted_dims(
-    cartons: Sequence[Carton],
-    enforce_ho: bool = True,
-    enforce_br: bool = False,
-) -> tuple[list[tuple[float, float, float]], tuple[float, float, float], tuple[float, float, float]]:
-    """Per-carton effective sorted dims plus their componentwise sums and maxima.
+def _aggregate_sorted_dims(
+    cartons: Sequence[Carton], enforce_ho: bool, enforce_br: bool,
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Componentwise sums and maxima of the cartons' effective sorted dims.
 
     Pinned cartons (see ``_pinned``) sort length/width only and keep their
-    height third; free cartons sort all three dims nonincreasing.
+    height third, bottom-resting ones included, because the one-row
+    constructions of ``fits_stacking`` keep it vertical; free cartons sort
+    all three dims nonincreasing.
     """
     eff = []
     for c in cartons:
@@ -67,7 +66,7 @@ def aggregate_sorted_dims(
             eff.append(tuple(sorted((p, q, r), reverse=True)))
     sums = tuple(sum(e[a] for e in eff) for a in range(3))
     maxs = tuple(max(e[a] for e in eff) for a in range(3))
-    return eff, sums, maxs  # type: ignore[return-value]
+    return sums, maxs  # type: ignore[return-value]
 
 
 def necessary_condition(
@@ -189,7 +188,7 @@ def fits_stacking(
     if ho_count is None or not enforce_ho:
         ho_count = sum(1 for c in cartons if c.height_oriented) if enforce_ho else 0
 
-    eff, sums, maxs = aggregate_sorted_dims(cartons, enforce_ho, enforce_br)
+    sums, maxs = _aggregate_sorted_dims(cartons, enforce_ho, enforce_br)
     if ho_count > 0 or br_count > 0:
         bl, bw = (box_sorted_dims.a, box_sorted_dims.b)
         if bw > bl:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -66,9 +66,6 @@ class Placement:
     carton: int
     extents: tuple[float, float, float]
     origin: tuple[float, float, float]
-
-    def to_json_dict(self) -> dict:
-        return {"carton": self.carton, "extents": list(self.extents), "origin": list(self.origin)}
 
 
 @dataclass(frozen=True)

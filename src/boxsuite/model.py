@@ -7,7 +7,7 @@ the box scale (see :func:`tolerance_for`).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "Dims3",
     "Carton",
-    "FoldableItem",
     "Shipment",
     "CandidateBox",
     "BoxSet",
@@ -56,14 +55,6 @@ class Dims3:
     def volume(self) -> float:
         return self.a * self.b * self.c
 
-    def sorted(self) -> "Dims3":
-        return sort3(self)
-
-    def sorted_lw(self) -> "Dims3":
-        """Sort only the first two components (length/width), keep the third."""
-        hi, lo = (self.a, self.b) if self.a >= self.b else (self.b, self.a)
-        return Dims3(hi, lo, self.c)
-
 
 def sort3(d: Dims3) -> Dims3:
     """Nonincreasing permutation of a dimension triple."""
@@ -86,36 +77,24 @@ class Carton:
 
 
 @dataclass(frozen=True)
-class FoldableItem:
-    """A deformable item, modeled as liquid: contributes volume only."""
-
-    dims: Dims3
-
-
-@dataclass(frozen=True)
 class Shipment:
-    """One order: a multiset of cartons plus foldable items (at least one item)."""
+    """One order: a multiset of at least one carton."""
 
     id: int
     cartons: tuple[Carton, ...] = ()
-    foldables: tuple[FoldableItem, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.cartons) + len(self.foldables) < 1:
+        if not self.cartons:
             raise DataError(f"shipment {self.id} has no items")
 
     @property
     def n_cartons(self) -> int:
         return len(self.cartons)
 
-    @property
-    def n_foldables(self) -> int:
-        return len(self.foldables)
-
 
 def liquid_volume(s: Shipment) -> float:
-    """Total outer volume of every item in the shipment (cartons + foldables)."""
-    return sum(c.dims.volume for c in s.cartons) + sum(f.dims.volume for f in s.foldables)
+    """Total outer volume of the shipment's cartons."""
+    return sum(c.dims.volume for c in s.cartons)
 
 
 def tolerance_for(box: Dims3) -> float:
@@ -302,7 +281,7 @@ def save_boxes(boxes: BoxSet, path: str | Path) -> None:
 
 
 def save_shipments(shipments: Sequence[Shipment], path: str | Path) -> None:
-    """Write one row per carton (quantity 1); foldables are not representable."""
+    """Write one row per carton (quantity 1) with its HO/BR flags."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["shipment_id", "item_id", "quantity", "dim1", "dim2", "dim3", "ho", "br"])

@@ -2,7 +2,7 @@
 
 The heavy stages communicate through immutable artifacts (fit matrix, cost
 matrix), so a recommendation can resume from a fit matrix computed hours
-earlier, and fine-tuning can reuse fit columns for boxes it has already seen.
+earlier. Fine-tuning writes a candidate box file, which is fitted afresh.
 """
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from boxsuite.cost import CostModel, InnerVolumeCost, build_cost_matrix
-from boxsuite.fitmatrix import FitMatrix, FitScanConfig, PackableSet, compute_fit_matrix
+from boxsuite.fitmatrix import FitMatrix, PackableSet, compute_fit_matrix
 from boxsuite.model import BoxSet, CandidateBox, DataError, Dims3, Shipment, liquid_volume
 from boxsuite.pmedian import (
     GraspParams,
-    LagrangianParams,
     PMedianInstance,
     SolveResult,
     Suite,
@@ -46,7 +45,6 @@ __all__ = [
     "ValidationPair",
     "ValidationReport",
     "compare_suites",
-    "extend_fit_matrix",
     "finetune_candidates",
     "pack_into_suite",
     "recommend",
@@ -75,10 +73,8 @@ class RunConfig:
     p: int
     locked_ids: tuple[int, ...] = ()
     model: Optional[CostModel] = None
-    fit: FitScanConfig = field(default_factory=FitScanConfig)
     method: str = "grasp"
     grasp: GraspParams = field(default_factory=GraspParams)
-    lagrangian: LagrangianParams = field(default_factory=LagrangianParams)
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -177,7 +173,7 @@ def _dispatch(inst: PMedianInstance, run: RunConfig) -> SolveResult:
         return local_search_interchange(inst, start)
     if run.method == "grasp":
         return solve_grasp(inst, run.grasp)
-    return solve_lagrangian(inst, run.lagrangian)
+    return solve_lagrangian(inst)
 
 
 def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
@@ -196,7 +192,7 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
     if not run.p < len(boxes.boxes):
         raise DataError("p must be below the number of candidate boxes")
     if fit is None:
-        fit, packables = compute_fit_matrix(shipments, boxes, cfg=run.fit)
+        fit, packables = compute_fit_matrix(shipments, boxes)
     else:
         if fit.n_shipments != len(shipments) or fit.n_boxes != len(boxes.boxes):
             raise DataError("fit matrix shape does not match shipments/boxes")
@@ -344,11 +340,10 @@ class ValidationPair:
 
 
 def pack_into_suite(shipments: Sequence[Shipment], suite_boxes: BoxSet,
-                    model: Optional[CostModel] = None,
-                    fit_cfg: Optional[FitScanConfig] = None) -> list[Optional[int]]:
+                    model: Optional[CostModel] = None) -> list[Optional[int]]:
     """Cheapest fitting suite box per shipment; None when nothing fits."""
     model = model if model is not None else InnerVolumeCost()
-    fitm, _ = compute_fit_matrix(shipments, suite_boxes, cfg=fit_cfg)
+    fitm, _ = compute_fit_matrix(shipments, suite_boxes)
     out: list[Optional[int]] = []
     for i, s in enumerate(shipments):
         row = fitm.rows[i]
@@ -396,7 +391,6 @@ def _validation_report(shipments: Sequence[Shipment], suite_boxes: BoxSet,
 def validate(suite_ids: Sequence[int], boxes: BoxSet,
              shipments_a: Sequence[Shipment], shipments_b: Sequence[Shipment],
              model: Optional[CostModel] = None,
-             fit_cfg: Optional[FitScanConfig] = None,
              warn_threshold: float = 0.10) -> ValidationPair:
     """Pack two shipment sets into the suite and compare per-box metrics.
 
@@ -409,10 +403,10 @@ def validate(suite_ids: Sequence[int], boxes: BoxSet,
     suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in suite_ids])
     rep_a = _validation_report(
         shipments_a, suite_boxes,
-        pack_into_suite(shipments_a, suite_boxes, model, fit_cfg), model)
+        pack_into_suite(shipments_a, suite_boxes, model), model)
     rep_b = _validation_report(
         shipments_b, suite_boxes,
-        pack_into_suite(shipments_b, suite_boxes, model, fit_cfg), model)
+        pack_into_suite(shipments_b, suite_boxes, model), model)
     flagged = []
     for la, lb in zip(rep_a.lines, rep_b.lines):
         for name in ("pct_shipments", "pct_cost", "pct_void"):
@@ -442,8 +436,7 @@ class ComparisonTable:
 
 
 def compare_suites(suites: Sequence[Sequence[int]], shipments: Sequence[Shipment],
-                   boxes: BoxSet, model: Optional[CostModel] = None,
-                   fit_cfg: Optional[FitScanConfig] = None) -> ComparisonTable:
+                   boxes: BoxSet, model: Optional[CostModel] = None) -> ComparisonTable:
     """Total packing cost of each suite; reductions relative to the first.
 
     A suite leaving any shipment uncovered is marked infeasible and excluded
@@ -454,7 +447,7 @@ def compare_suites(suites: Sequence[Sequence[int]], shipments: Sequence[Shipment
     base_cost: Optional[float] = None
     for ids in suites:
         suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in ids])
-        assignment = pack_into_suite(shipments, suite_boxes, model, fit_cfg)
+        assignment = pack_into_suite(shipments, suite_boxes, model)
         uncovered = sum(1 for j in assignment if j is None)
         total = sum(model.cost_for(shipments[i], suite_boxes.boxes[j])
                     for i, j in enumerate(assignment) if j is not None)
@@ -517,56 +510,3 @@ def finetune_candidates(boxes: BoxSet, suite_ids: Sequence[int],
             next_id += 1
     return BoxSet(kept, locked_ids=tuple(sorted(locked_ids)))
 
-
-def extend_fit_matrix(prior: FitMatrix, prior_boxes: BoxSet,
-                      shipments: Sequence[Shipment], new_boxes: BoxSet,
-                      cfg: Optional[FitScanConfig] = None) -> FitMatrix:
-    """Fit matrix for new_boxes, copying columns already solved in prior.
-
-    Fitting dominates the pipeline's runtime, so fine-tuning rounds reuse any
-    column whose box has identical inner dims under the same scan config;
-    only genuinely new boxes are handed to the solver. A config mismatch
-    falls back to a full recompute since cached verdicts would not transfer.
-    """
-    cfg = cfg if cfg is not None else FitScanConfig()
-    if prior.config_hash != cfg.content_hash() or prior.n_shipments != len(shipments):
-        fitm, _ = compute_fit_matrix(shipments, new_boxes, cfg=cfg)
-        return fitm
-    prior_col = {}
-    for j, box in enumerate(prior_boxes.boxes):
-        prior_col.setdefault(box.inner.as_tuple(), j)
-    matched: dict[int, int] = {}
-    fresh: list[CandidateBox] = []
-    for j, box in enumerate(new_boxes.boxes):
-        hit = prior_col.get(box.inner.as_tuple())
-        if hit is None:
-            fresh.append(box)
-        else:
-            matched[j] = hit
-    fresh_fit = None
-    fresh_index: dict[int, int] = {}
-    if fresh:
-        fresh_set = BoxSet(fresh)
-        fresh_fit, _ = compute_fit_matrix(shipments, fresh_set, cfg=cfg)
-        fresh_index = {box.id: jj for jj, box in enumerate(fresh_set.boxes)}
-    rows = []
-    for i in range(len(shipments)):
-        bits = [j for j, pj in matched.items() if prior.is_set(i, pj)]
-        if fresh_fit is not None:
-            for j, box in enumerate(new_boxes.boxes):
-                if j not in matched and fresh_fit.is_set(i, fresh_index[box.id]):
-                    bits.append(j)
-        rows.append(sorted(bits))
-    timeouts = []
-    prior_ids = {box.id: j for j, box in enumerate(prior_boxes.boxes)}
-    timed_out_cols = {(sid, prior_ids[bid]) for sid, bid in prior.timeouts
-                      if bid in prior_ids}
-    for j, pj in matched.items():
-        for sid, col in timed_out_cols:
-            if col == pj:
-                timeouts.append((sid, new_boxes.boxes[j].id))
-    if fresh_fit is not None:
-        timeouts.extend(fresh_fit.timeouts)
-    return FitMatrix(n_shipments=len(shipments), n_boxes=len(new_boxes.boxes),
-                     rows=rows, timeouts=sorted(set(timeouts)),
-                     config_hash=cfg.content_hash())

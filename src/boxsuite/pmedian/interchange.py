@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from boxsuite.model import DataError
 from boxsuite.pmedian import kernels
 from boxsuite.pmedian.instance import PMedianInstance, SolveResult, Suite
 
@@ -34,12 +33,8 @@ def closest_two(inst: PMedianInstance, suite: Suite):
 
 
 def local_search_interchange(inst: PMedianInstance, start: Suite,
-                             neighborhood: str = "best",
                              max_iters: int = 100_000) -> SolveResult:
-    """Swap facilities until no single exchange lowers the total cost."""
-    if neighborhood not in ("best", "first"):
-        raise DataError("neighborhood must be 'best' or 'first'")
-    first = neighborhood == "first"
+    """Apply the best single exchange until none lowers the total cost."""
     suite = inst.suite(start.members)
     members = list(suite.members)
     mask = np.zeros(inst.m, dtype=np.bool_)
@@ -50,8 +45,7 @@ def local_search_interchange(inst: PMedianInstance, start: Suite,
         total = float((d1 * inst.w).sum())
         threshold = _REL_EPS * (1.0 + abs(total))
         delta, b, a = kernels.best_swap(
-            inst.d, mask, np.asarray(members, dtype=np.int64), c1, d1, d2,
-            first, threshold, inst.w)
+            inst.d, mask, np.asarray(members, dtype=np.int64), c1, d1, d2, inst.w)
         if b < 0 or delta >= -threshold:
             return SolveResult(suite=suite, cost=total)
         mask[a] = False

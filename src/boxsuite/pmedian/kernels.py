@@ -42,8 +42,8 @@ def active_backend() -> str:
     return "numpy"
 
 
-def best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold, w):
-    """Best (or first improving) single swap for the current suite.
+def best_swap(d, suite_mask, suite_idx, c1, d1, d2, w):
+    """Best single swap for the current suite.
 
     Returns (delta, inserted, removed); delta is the cost change of the best
     swap found, (-1, -1) facilities when the suite spans all of them.
@@ -73,11 +73,6 @@ def best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve, threshold, w)
             corr[a] = Zw[bounds[a]:bounds[a + 1]].sum(axis=0)
         a_pos = corr.argmin(axis=0)  # first occurrence = lowest removed facility
         delta = -gain + corr[a_pos, np.arange(cols.size)]
-        if first_improve:
-            improving = np.flatnonzero(delta < -threshold)
-            if improving.size:
-                k = improving[0]
-                return float(delta[k]), int(cols[k]), int(suite_idx[a_pos[k]])
         k = delta.argmin()  # first occurrence = lowest inserted facility
         if best_b < 0 or delta[k] < best_delta:
             best_delta, best_b, best_a = float(delta[k]), int(cols[k]), int(suite_idx[a_pos[k]])

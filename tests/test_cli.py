@@ -9,6 +9,7 @@ import pytest
 
 import boxsuite
 from boxsuite.cli import main
+from boxsuite.fitting import FitVerdict, Outcome
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, save_boxes, save_shipments
 
 
@@ -75,6 +76,54 @@ class TestFit:
                    "--shipments", str(tmp_path / "nope2.csv"),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_malformed_threads_variable_exits_2(self, fixture_files, monkeypatch,
+                                                capsys, value):
+        tmp, bpath, spath = fixture_files
+        monkeypatch.setenv("BOXSUITE_THREADS", value)
+        rc = main(["fit", "--boxes", bpath, "--shipments", spath,
+                   "--out", str(tmp / "fit.csv")])
+        assert rc == 2
+        assert "BOXSUITE_THREADS" in capsys.readouterr().err
+        assert not (tmp / "fit.csv").exists()
+
+    def test_unset_threads_variable_defaults_to_one(self, fixture_files, monkeypatch):
+        tmp, bpath, spath = fixture_files
+        monkeypatch.delenv("BOXSUITE_THREADS", raising=False)
+        seen = []
+        original = boxsuite.cli.compute_fit_matrix
+
+        def spy(shipments, boxes, cfg):
+            seen.append(cfg.threads)
+            return original(shipments, boxes, cfg=cfg)
+
+        monkeypatch.setattr(boxsuite.cli, "compute_fit_matrix", spy)
+        assert main(["fit", "--boxes", bpath, "--shipments", spath,
+                     "--out", str(tmp / "fit.csv")]) == 0
+        monkeypatch.setenv("BOXSUITE_THREADS", "2")
+        assert main(["fit", "--boxes", bpath, "--shipments", spath,
+                     "--out", str(tmp / "fit.csv")]) == 0
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("solver, cartons", [
+        # two cartons no one-row stack holds reach the exact 2/3-carton solver
+        ("fits_exact_small", [(3, 3, 2)] * 2),
+        # four cubes pass every pair/triple prescreen and reach the search
+        ("solve_fit", [(2, 2, 2)] * 4),
+    ])
+    def test_bogus_witness_exits_3(self, tmp_path, monkeypatch, capsys, solver, cartons):
+        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(4, 4, 3))])
+        shipments = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in cartons))]
+        bpath, spath = tmp_path / "b.csv", tmp_path / "s.csv"
+        save_boxes(boxes, bpath)
+        save_shipments(shipments, spath)
+        monkeypatch.setattr(f"boxsuite.fitmatrix.{solver}",
+                            lambda *args: FitVerdict(Outcome.FIT, witness=()))
+        rc = main(["fit", "--boxes", str(bpath), "--shipments", str(spath),
+                   "--out", str(tmp_path / "fit.csv")])
+        assert rc == 3
+        assert "witness fails the re-check" in capsys.readouterr().err
 
 
 class TestRecommend:

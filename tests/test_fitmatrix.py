@@ -26,7 +26,6 @@ from boxsuite.model import (
     Carton,
     DataError,
     Dims3,
-    FoldableItem,
     Shipment,
     liquid_volume,
 )
@@ -38,11 +37,10 @@ def box_set(*dims):
     return BoxSet([CandidateBox(i + 1, Dims3(*d)) for i, d in enumerate(dims)])
 
 
-def make_shipment(sid, carton_dims, flags=None, foldables=()):
+def make_shipment(sid, carton_dims, flags=None):
     flags = flags or [{} for _ in carton_dims]
     cartons = tuple(Carton(Dims3(*d), **f) for d, f in zip(carton_dims, flags))
-    return Shipment(id=sid, cartons=cartons,
-                    foldables=tuple(FoldableItem(Dims3(*d)) for d in foldables))
+    return Shipment(id=sid, cartons=cartons)
 
 
 # -- nesting -------------------------------------------------------------------
@@ -75,14 +73,6 @@ def test_nesting_invariants():
 
 # -- scan basics ---------------------------------------------------------------
 
-def test_foldable_only_row_fills_from_volume_threshold():
-    boxes = box_set((1, 2, 2), (2, 2, 2), (3, 3, 3))  # volumes 4, 8, 27
-    ship = Shipment(id=1, cartons=(), foldables=(FoldableItem(Dims3(2, 2, 2)),))
-    mat, packs = compute_fit_matrix([ship], boxes)
-    assert mat.rows[0] == (1, 2)
-    assert packs.W == (0,) and packs.fitting_boxes[0] == (1, 2)
-
-
 def test_oversized_shipment_excluded():
     boxes = box_set((2, 2, 2), (3, 3, 3))
     ship = make_shipment(1, [(9, 9, 9)])
@@ -110,7 +100,7 @@ def test_rows_closed_under_nesting_and_volume():
         for j in mat.rows[i]:
             assert boxes.volumes[j] >= v - 1e-9
             for k in closure[j]:
-                assert mat.is_set(i, k)
+                assert k in mat.rows[i]
 
 
 def test_ho_shipment_uses_height_preserving_closure():
@@ -122,8 +112,8 @@ def test_ho_shipment_uses_height_preserving_closure():
     mat, _ = compute_fit_matrix([tall_first, free], boxes)
     tall_idx = boxes.index_of(1)
     flat_idx = boxes.index_of(2)
-    assert mat.is_set(0, tall_idx) and not mat.is_set(0, flat_idx)
-    assert mat.is_set(1, tall_idx) and mat.is_set(1, flat_idx)
+    assert tall_idx in mat.rows[0] and flat_idx not in mat.rows[0]
+    assert tall_idx in mat.rows[1] and flat_idx in mat.rows[1]
 
 
 def test_bottom_resting_shipment_uses_height_preserving_closure():
@@ -133,8 +123,8 @@ def test_bottom_resting_shipment_uses_height_preserving_closure():
     ship = make_shipment(1, [(3, 3, 1), (3, 3, 1)],
                          [dict(bottom_resting=True)] * 2)
     mat, _ = compute_fit_matrix([ship], boxes)
-    assert mat.is_set(0, boxes.index_of(1))
-    assert not mat.is_set(0, boxes.index_of(2))
+    assert boxes.index_of(1) in mat.rows[0]
+    assert boxes.index_of(2) not in mat.rows[0]
 
 
 # -- consistency audits ----------------------------------------------------------
@@ -161,11 +151,11 @@ def test_fast_path_consistency_with_direct_solves():
         v = liquid_volume(ship)
         for j in range(len(boxes)):
             if boxes.volumes[j] < v:
-                assert not mat.is_set(i, j)
+                assert j not in mat.rows[i]
                 continue
             verdict = solve_fit(FitProblem(ship.cartons, boxes[j].inner), GENEROUS)
             assert verdict.outcome in (Outcome.FIT, Outcome.NO_FIT)
-            assert mat.is_set(i, j) == verdict.is_fit, (ship.id, boxes[j].id)
+            assert (j in mat.rows[i]) == verdict.is_fit, (ship.id, boxes[j].id)
 
 
 def test_scan_is_deterministic():
@@ -175,10 +165,12 @@ def test_scan_is_deterministic():
     assert mat1.rows == mat2.rows
 
 
-def test_prescreens_do_not_change_rows():
+def test_prescreens_do_not_change_rows(monkeypatch):
     boxes, ships = _random_world(56)
-    on, _ = compute_fit_matrix(ships, boxes, cfg=FitScanConfig(use_prescreens=True))
-    off, _ = compute_fit_matrix(ships, boxes, cfg=FitScanConfig(use_prescreens=False))
+    on, _ = compute_fit_matrix(ships, boxes)
+    monkeypatch.setattr(fitmatrix._ShipmentScanner, "_prescreens_pass",
+                        lambda self, cartons, box_dims, pinned: True)
+    off, _ = compute_fit_matrix(ships, boxes)
     assert on.rows == off.rows
 
 
@@ -428,6 +420,19 @@ def test_digests_ignore_input_order_and_locks(tmp_path):
     assert pairs(back, shuffled, tied) == pairs(mat, ships, boxes) and mat.set_bits == 6
 
 
+def test_digests_of_a_fixed_input_are_pinned():
+    # Manifests written by earlier versions carry these digests; a change in
+    # the record format would make every such fit.csv refuse to load.
+    boxes = BoxSet([CandidateBox(3, Dims3(4, 3, 2.5)), CandidateBox(1, Dims3(6, 4, 3))])
+    ships = [Shipment(7, (Carton(Dims3(2, 1, 3), height_oriented=True),
+                          Carton(Dims3(1.5, 1, 1), bottom_resting=True))),
+             Shipment(2, (Carton(Dims3(1, 1, 1)),))]
+    assert fitmatrix._boxes_digest(boxes) == (
+        "14e63f0b9b8092f20986efe9b092afc286ff0ebe7c0ccf97cb0cf95be9a7855b")
+    assert fitmatrix._shipments_digest(ships) == (
+        "70ca09ae13bcb631ad1e3d0b55175ccf7f6db2192ab9b38d8db0ca880c452b48")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_csv_round_trip_of_random_matrices(data):
@@ -456,8 +461,8 @@ def test_csr_accessors_and_fitting_boxes_view():
     assert mat.indptr.tolist() == [0, 2, 2, 3, 5]
     assert mat.indices.tolist() == [1, 3, 4, 0, 2]
     assert mat.rows == ((1, 3), (), (4,), (0, 2)) and mat.set_bits == 5
-    assert [mat.is_set(0, j) for j in range(5)] == [False, True, False, True, False]
-    assert not any(mat.is_set(1, j) for j in range(5))
+    assert [j in mat.rows[0] for j in range(5)] == [False, True, False, True, False]
+    assert not any(j in mat.rows[1] for j in range(5))
     packs = mat.packables()
     assert packs.W == (0, 2, 3) and packs.I_hat == 3
     assert dict(packs.fitting_boxes) == {0: (1, 3), 2: (4,), 3: (0, 2)}

@@ -68,10 +68,3 @@ def test_witnesses_respect_flags():
                     assert pl.origin[2] == 0.0
     assert fits > 50
 
-
-def test_witness_serializes_to_json_dict():
-    prob = FitProblem((Carton(Dims3(2, 1, 1)),), Dims3(2, 2, 2))
-    verdict = oracle_fit(prob)
-    entry = verdict.witness[0].to_json_dict()
-    assert entry["carton"] == 0
-    assert len(entry["extents"]) == 3 and len(entry["origin"]) == 3

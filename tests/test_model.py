@@ -10,7 +10,6 @@ from boxsuite.model import (
     Carton,
     DataError,
     Dims3,
-    FoldableItem,
     Shipment,
     enumerate_box_grid,
     liquid_volume,
@@ -40,9 +39,8 @@ def test_sort3_is_idempotent_permutation(a, b, c):
 
 
 def test_liquid_volume_examples():
-    s = Shipment(1, (Carton(Dims3(2, 3, 4)),), (FoldableItem(Dims3(1, 1, 1)),))
+    s = Shipment(1, (Carton(Dims3(2, 3, 4)), Carton(Dims3(1, 1, 1))))
     assert liquid_volume(s) == 25
-    assert liquid_volume(Shipment(2, (), (FoldableItem(Dims3(2, 2, 2)),))) == 8
     assert liquid_volume(Shipment(3, (Carton(Dims3(1, 1, 1)),) * 3)) == 3
 
 

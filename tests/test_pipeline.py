@@ -2,17 +2,15 @@
 import itertools
 import json
 
-import numpy as np
 import pytest
 
 from boxsuite.cost import BoxTableCost
-from boxsuite.fitmatrix import FitScanConfig, compute_fit_matrix
+from boxsuite.fitmatrix import compute_fit_matrix
 from boxsuite.model import BoxSet, CandidateBox, Carton, DataError, Dims3, Shipment
 from boxsuite.pipeline import (
     NO_FEASIBLE_MESSAGE,
     RunConfig,
     compare_suites,
-    extend_fit_matrix,
     finetune_candidates,
     pack_into_suite,
     recommend,
@@ -298,50 +296,3 @@ class TestFinetune:
         vols = [b.volume for b in out.boxes]
         assert vols == sorted(vols)
 
-
-class TestExtendFitMatrix:
-    def test_matches_full_recompute(self, tiny):
-        boxes, shipments = tiny
-        cfg = FitScanConfig()
-        prior, _ = compute_fit_matrix(shipments, boxes, cfg=cfg)
-        grown = finetune_candidates(boxes, [2, 3], deltas=(-1, 0, 1))
-        ext = extend_fit_matrix(prior, boxes, shipments, grown, cfg)
-        full, _ = compute_fit_matrix(shipments, grown, cfg=cfg)
-        assert ext.rows == full.rows
-        assert ext.config_hash == full.config_hash
-
-    def test_config_mismatch_forces_recompute(self, tiny):
-        boxes, shipments = tiny
-        prior, _ = compute_fit_matrix(shipments, boxes, cfg=FitScanConfig())
-        other = FitScanConfig(enforce_ho=False)
-        grown = finetune_candidates(boxes, [2, 3], deltas=(-1, 0, 1))
-        ext = extend_fit_matrix(prior, boxes, shipments, grown, other)
-        full, _ = compute_fit_matrix(shipments, grown, cfg=other)
-        assert ext.rows == full.rows
-        assert ext.config_hash == other.content_hash()
-
-    def test_random_corpus_agreement(self):
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            boxes = BoxSet([
-                CandidateBox(id=k + 1,
-                             inner=Dims3(*sorted((int(a) for a in
-                                                  rng.integers(2, 9, size=3)),
-                                                 reverse=True)))
-                for k in range(4)])
-            shipments = []
-            for s in range(8):
-                n = int(rng.integers(1, 4))
-                cartons = tuple(
-                    Carton(Dims3(*(int(a) for a in rng.integers(1, 5, size=3))),
-                           height_oriented=bool(rng.random() < 0.25),
-                           bottom_resting=bool(rng.random() < 0.15))
-                    for _ in range(n))
-                shipments.append(Shipment(id=s + 1, cartons=cartons))
-            cfg = FitScanConfig()
-            prior, _ = compute_fit_matrix(shipments, boxes, cfg=cfg)
-            ids = [b.id for b in boxes.boxes]
-            grown = finetune_candidates(boxes, ids[:2], deltas=(-1, 0, 1))
-            ext = extend_fit_matrix(prior, boxes, shipments, grown, cfg)
-            full, _ = compute_fit_matrix(shipments, grown, cfg=cfg)
-            assert ext.rows == full.rows

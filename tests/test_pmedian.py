@@ -121,8 +121,7 @@ class TestInterchange:
         assert res.suite.members == (0,)
         assert res.cost == 12.0
 
-    @pytest.mark.parametrize("neighborhood", ["best", "first"])
-    def test_result_is_swap_optimal(self, neighborhood):
+    def test_result_is_swap_optimal(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(5, 30))
@@ -130,7 +129,7 @@ class TestInterchange:
             p = int(rng.integers(1, m))
             inst = PMedianInstance(rng.uniform(1.0, 100.0, size=(n, m)), p=p)
             start = Suite(sorted(rng.choice(m, size=p, replace=False).tolist()))
-            res = local_search_interchange(inst, start, neighborhood=neighborhood)
+            res = local_search_interchange(inst, start)
             assert res.cost <= suite_cost(inst, start) + 1e-9
             for b in range(m):
                 if b in res.suite:
@@ -145,11 +144,6 @@ class TestInterchange:
         assert d1.tolist() == [1.0, 1.0, 2.0]
         assert d2.tolist() == [9.0, 9.0, 5.0]
         assert c1.tolist() == [0, 1, 0]
-
-    def test_unknown_neighborhood_rejected(self):
-        inst = PMedianInstance(D_SMALL, p=1)
-        with pytest.raises(DataError):
-            local_search_interchange(inst, Suite([0]), neighborhood="steepest")
 
 
 class TestKernels:
@@ -171,7 +165,7 @@ class TestKernels:
         rng = np.random.default_rng(11)
         for _ in range(20):
             inst, suite, state = self._random_state(rng)
-            delta, b, a = kernels.best_swap(*state, False, 1e-9, inst.w)
+            delta, b, a = kernels.best_swap(*state, inst.w)
             base = suite_cost(inst, suite)
             exhaustive = None
             for bb in range(inst.m):
@@ -195,8 +189,7 @@ def dense_rho(d, lam, w):
     return (np.where(red < 0.0, red, 0.0) * w[:, None]).sum(axis=0)
 
 
-def add_at_best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve,
-                     threshold, w):
+def add_at_best_swap(d, suite_mask, suite_idx, c1, d1, d2, w):
     """best_swap with the correction accumulated by np.add.at, one column at a
     time in the tie order the kernel documents."""
     p = suite_idx.shape[0]
@@ -215,8 +208,6 @@ def add_at_best_swap(d, suite_mask, suite_idx, c1, d1, d2, first_improve,
         dk = float(-gain[k] + corr[a_pos[k], k])
         if best is None or dk < best[0]:
             best = (dk, int(b), int(suite_idx[a_pos[k]]))
-        if first_improve and dk < -threshold:
-            return dk, int(b), int(suite_idx[a_pos[k]])
     return best if best is not None else (0.0, -1, -1)
 
 
@@ -283,9 +274,7 @@ class TestSortedPrefixKernels:
                 mask = np.zeros(m, dtype=bool)
                 mask[list(suite.members)] = True
                 state = (d, mask, np.array(suite.members, dtype=np.int64), c1, d1, d2)
-                for first in (False, True):
-                    assert (kernels.best_swap(*state, first, 1e-9, w)
-                            == add_at_best_swap(*state, first, 1e-9, w))
+                assert kernels.best_swap(*state, w) == add_at_best_swap(*state, w)
 
     def test_best_swap_with_facilities_no_row_is_closest_to(self):
         rng = np.random.default_rng(73)
@@ -299,10 +288,9 @@ class TestSortedPrefixKernels:
             mask = np.zeros(12, dtype=bool)
             mask[list(suite.members)] = True
             state = (d, mask, np.array(suite.members, dtype=np.int64), c1, d1, d2)
-            for first in (False, True):
-                delta, b, a = kernels.best_swap(*state, first, 1e-9, w)
-                assert (delta, b, a) == add_at_best_swap(*state, first, 1e-9, w)
-                assert a in (6, 7, 8)  # removing an unused facility costs nothing
+            delta, b, a = kernels.best_swap(*state, w)
+            assert (delta, b, a) == add_at_best_swap(*state, w)
+            assert a in (6, 7, 8)  # removing an unused facility costs nothing
 
 
 class TestRowWeights:
@@ -334,11 +322,9 @@ class TestRowWeights:
             w = weighted.w.astype(np.int64)
             suite = Suite(sorted(rng.choice(weighted.m, size=weighted.p,
                                             replace=False).tolist()))
-            for first in (False, True):
-                assert kernels.best_swap(
-                    *self._swap_state(weighted, suite), first, 1e-9, weighted.w
-                ) == kernels.best_swap(
-                    *self._swap_state(expanded, suite), first, 1e-9, expanded.w)
+            assert kernels.best_swap(
+                *self._swap_state(weighted, suite), weighted.w
+            ) == kernels.best_swap(*self._swap_state(expanded, suite), expanded.w)
             d1 = weighted.d[:, list(suite.members)].min(axis=1)
             for start in (np.full(weighted.n, np.inf), d1):
                 assert np.array_equal(
