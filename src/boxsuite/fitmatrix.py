@@ -4,14 +4,18 @@ For each shipment the candidate boxes are visited in volume order starting at
 the first box that can hold the shipment's liquid volume. Decisions cascade
 from cheap to expensive: per-carton necessity, pair/triple pre-screens, the
 one-row stacking construction, and then an exact decision: the two/three-carton
-solvers, or the branch-and-bound solver. From five cartons on the search is
-preceded by a dual-feasible-function volume bound (``dff_refutes``) that
-proves most NO_FITs without search, and from six on also by an extreme-point
-packer (``pack_extreme_points``) that finds most FITs in milliseconds. The
-scan always enforces the height-oriented (HO) and bottom-resting (BR) rules.
-A packing from the packer, the exact solvers or the search counts only after
-``check_witness`` accepts it; an exact-solver or search packing that fails
-the check is an internal error.
+solvers, or the branch-and-bound solver. From four cartons on, the box is
+first cut to its normal-pattern size (``normal_pattern_box``: each axis to the
+longest sum of carton extents it holds), which never changes the verdict, and
+everything after the memo lookup sees the cut box; boxes that cut to the same
+size share one memo entry. From five cartons on the search is preceded by a
+dual-feasible-function volume bound (``dff_refutes``) that proves most
+NO_FITs without search, and from six on also by an extreme-point packer
+(``pack_extreme_points``) that finds most FITs in milliseconds. The scan
+always enforces the height-oriented (HO) and bottom-resting (BR) rules. A
+packing from the packer, the exact solvers or the search counts only after
+``check_witness`` accepts it in the declared box; an exact-solver or search
+packing that fails the check is an internal error.
 Every positive verdict is propagated to all boxes the current box nests
 into, which both skips work and keeps rows closed under nesting.
 
@@ -46,8 +50,10 @@ from boxsuite.fitting import (
     carton_key,
     check_witness,
     dff_refutes,
+    extent_sums,
     fits_exact_small,
     fits_stacking,
+    normal_pattern_box,
     pack_extreme_points,
     solve_fit,
 )
@@ -58,6 +64,7 @@ from boxsuite.model import (
     Dims3,
     Shipment,
     liquid_volume,
+    tolerance_for,
 )
 
 __all__ = [
@@ -457,12 +464,6 @@ def _box_key(box_dims: tuple[float, float, float], pinned: bool):
     return tuple(sorted(box_dims, reverse=True))
 
 
-def _packs(problem: FitProblem) -> bool:
-    """The extreme-point packer finds a packing that passes the re-check."""
-    witness = pack_extreme_points(problem)
-    return witness is not None and check_witness(problem, witness)
-
-
 class _ShipmentScanner:
     """Scans one shipment across all boxes; memoizes solved subproblems."""
 
@@ -471,33 +472,67 @@ class _ShipmentScanner:
         self.nests = nests
         self.cfg = cfg
         self.memo: dict = {}
+        # extent_sums per sorted carton-key tuple, up to the longest box axis
+        # plus the widest tolerance any box allows
+        self.sums: dict = {}
+        self._longest = float(boxes.dims.max())
+        self._longest_eps = tolerance_for(Dims3(*(self._longest,) * 3))
 
     def _cached_verdict(self, cartons: tuple[Carton, ...], box_dims, pinned: bool) -> Outcome:
-        key = (tuple(sorted(map(carton_key, cartons))), _box_key(box_dims, pinned))
+        keys = tuple(sorted(map(carton_key, cartons)))
+        key = (keys, _box_key(box_dims, pinned))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        prob = FitProblem(cartons, Dims3(*box_dims))
-        if len(cartons) >= 5 and dff_refutes(prob):
+        declared = prob = FitProblem(cartons, Dims3(*box_dims))
+        cut_key = None
+        if len(cartons) >= 4:
+            # Smaller orders are decided faster than the cut is computed.
+            sums = self.sums.get(keys)
+            if sums is None:
+                sums = self.sums[keys] = extent_sums(
+                    keys, self._longest + (len(cartons) + 1) * self._longest_eps)
+            cut = normal_pattern_box(declared, sums)
+            if cut is None:
+                self.memo[key] = Outcome.NO_FIT
+                return Outcome.NO_FIT
+            if cut != declared.box:
+                cut_key = (keys, _box_key(cut.as_tuple(), pinned))
+                hit = self.memo.get(cut_key)
+                if hit is not None:
+                    self.memo[key] = hit
+                    return hit
+                prob = FitProblem(cartons, cut)
+        out = self._decide(prob, declared)
+        self.memo[key] = out
+        if cut_key is not None:
+            self.memo[cut_key] = out
+        return out
+
+    def _decide(self, prob: FitProblem, declared: FitProblem) -> Outcome:
+        """Decide ``prob``, the declared problem or its cut box; every packing
+        is re-checked against the declared box."""
+        n = prob.n
+        if n >= 5 and dff_refutes(prob):
             # A four-carton NO_FIT search takes about a millisecond; the
             # screen is kept for the orders whose proofs run long.
-            out = Outcome.NO_FIT
-        elif len(cartons) >= 6 and _packs(prob):
+            return Outcome.NO_FIT
+        if n >= 6:
             # On 4- and 5-carton orders the packer costs more than the
             # searches it settles.
-            out = Outcome.FIT
+            witness = pack_extreme_points(prob)
+            if witness is not None and check_witness(declared, witness):
+                return Outcome.FIT
+        if n in (2, 3):
+            verdict, solver = fits_exact_small(prob), "exact 2/3-carton"
         else:
-            if len(cartons) in (2, 3):
-                verdict, solver = fits_exact_small(prob), "exact 2/3-carton"
-            else:
-                verdict, solver = solve_fit(prob, self.cfg.solver), "branch-and-bound"
-            if verdict.is_fit and not check_witness(prob, verdict.witness):
-                raise RuntimeError(
-                    f"{solver} witness fails the re-check: box "
-                    f"{box_dims}, cartons {[c.dims.as_tuple() for c in cartons]}")
-            out = verdict.outcome
-        self.memo[key] = out
-        return out
+            verdict, solver = solve_fit(prob, self.cfg.solver), "branch-and-bound"
+        if verdict.is_fit and not check_witness(declared, verdict.witness):
+            raise RuntimeError(
+                f"{solver} witness fails the re-check: box "
+                f"{declared.box.as_tuple()}, cartons "
+                f"{[c.dims.as_tuple() for c in declared.cartons]}")
+        return verdict.outcome
 
     def _prescreens_pass(self, cartons, box_dims, pinned) -> bool:
         # Pairs and triples are necessary conditions; both go through the

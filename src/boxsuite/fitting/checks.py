@@ -1,12 +1,13 @@
 """Cheap sufficient/necessary fit conditions used before the full solver."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from boxsuite.fitting.types import FitProblem, orientation_extents
+from boxsuite.fitting.types import FitProblem, carton_key, orientation_extents
 from boxsuite.model import Carton, Dims3, tolerance_for
 
 __all__ = [
@@ -14,6 +15,8 @@ __all__ = [
     "fits_stacking",
     "necessary_condition",
     "dff_refutes",
+    "extent_sums",
+    "normal_pattern_box",
 ]
 
 
@@ -156,6 +159,65 @@ def dff_refutes(problem: FitProblem) -> bool:
     counts = np.fromiter(groups.values(), dtype=np.float64, count=len(groups))
     total = counts @ vol.min(axis=1).reshape(len(groups), -1)
     return bool(total.max() > 1.0 + _DFF_TOL)
+
+
+def extent_sums(keys: Sequence[tuple], limit: float
+                ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Sorted sums, up to ``limit``, of one allowed extent from each of any
+    subset of the cartons: along a horizontal axis, and along the vertical one.
+
+    ``keys`` are the cartons' ``carton_key`` values. A height-pinned carton
+    adds its length or width across and only its height up; a free one adds
+    any of its dims on either axis. The empty subset makes 0.0 the first sum.
+    Sums are formed in ``keys`` order, so callers that pass sorted keys get
+    the same floats whatever order the cartons came in.
+    """
+    across = _subset_sums([dims[:2] if pinned else dims for pinned, dims, _ in keys], limit)
+    if not any(pinned for pinned, _, _ in keys):
+        return across, across
+    return across, _subset_sums([dims[2:] if pinned else dims for pinned, dims, _ in keys],
+                                limit)
+
+
+def _subset_sums(choices, limit: float) -> tuple[float, ...]:
+    sums = {0.0}
+    for extents in choices:
+        extents = set(extents)
+        sums |= {s + e for s in sums for e in extents if s + e <= limit}
+    return tuple(sorted(sums))
+
+
+def normal_pattern_box(problem: FitProblem,
+                       sums: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None,
+                       ) -> Optional[Dims3]:
+    """The box with each axis cut to the longest sum of carton extents it
+    holds, or None when some axis holds no carton at all (no packing exists).
+
+    Push a packing left, back and down until nothing moves (bottom-resting
+    cartons stay on the floor) and every carton's far side lies at a sum of
+    distinct cartons' extents along that axis: Christofides & Whitlock's
+    normal patterns (Oper. Res. 25, 1977). So the cartons pack into the cut
+    box exactly when they pack into the declared one, and every witness in
+    the cut box is one in the declared box. As in ``dff_refutes``, sums up
+    to the length plus ``(n + 1) * eps`` count, so a packing inside the
+    tolerance keeps its length; no axis ever grows.
+
+    ``sums`` are the cartons' ``extent_sums`` with a limit of at least the
+    longest axis plus that slack; they are computed here when not given.
+    """
+    box = problem.box.as_tuple()
+    slack = (problem.n + 1) * problem.eps
+    if sums is None:
+        keys = sorted(carton_key(c, problem.enforce_ho) for c in problem.cartons)
+        sums = extent_sums(keys, max(box) + slack)
+    across, up = sums
+    cut = []
+    for length, axis_sums in zip(box, (across, across, up)):
+        longest = axis_sums[bisect_right(axis_sums, length + slack) - 1]
+        if longest == 0.0:
+            return None
+        cut.append(min(longest, length))
+    return Dims3(*cut)
 
 
 def fits_stacking(

@@ -31,5 +31,6 @@ __all__ = [
     "path_relink",
     "solve_exact",
     "solve_grasp",
+    "solve_lagrangian",
     "suite_cost",
 ]

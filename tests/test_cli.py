@@ -55,10 +55,11 @@ class TestFit:
         assert manifest["timeouts"] == []
 
     def test_forced_timeout_recorded_with_bit_clear(self, tmp_path):
-        # passes the prescreens and the volume bound, and its NO_FIT proof
-        # takes about 370,000 branch-and-bound nodes, so 1 ms always runs out
-        dims = [(8, 5, 5)] * 7
-        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(15, 12, 11))])
+        # passes the prescreens, the box cut (to 17x12x6) and the volume
+        # bound, and its NO_FIT proof takes over 150,000 branch-and-bound
+        # nodes, so 1 ms always runs out
+        dims = [(10, 6, 5)] * 2 + [(6, 6, 4)] * 4
+        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(17, 12, 7))])
         shipments = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in dims))]
         bpath, spath = tmp_path / "b.csv", tmp_path / "s.csv"
         save_boxes(boxes, bpath)

@@ -8,7 +8,6 @@ import pytest
 from boxsuite.cost import (
     BoxTableCost,
     InnerVolumeCost,
-    PairTableCost,
     build_cost_matrix,
     load_pair_cost_table,
 )

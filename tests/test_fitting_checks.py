@@ -1,5 +1,5 @@
 """Fast-path checks: exact single-carton test, one-row stacking, necessity,
-and the dual-feasible-function NO_FIT screen."""
+the dual-feasible-function NO_FIT screen and the normal-pattern box cut."""
 import random
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gendata
+from boxsuite import fitmatrix
 from boxsuite.fitmatrix import FitScanConfig, compute_fit_matrix
 from boxsuite.fitting import (
     FitProblem,
@@ -17,6 +18,7 @@ from boxsuite.fitting import (
     fits_single,
     fits_stacking,
     necessary_condition,
+    normal_pattern_box,
     oracle_fit,
     solve_fit,
 )
@@ -232,3 +234,88 @@ def test_dff_screen_does_not_change_scan_rows(monkeypatch):
         assert off.timeouts == ()
         assert on.rows == off.rows
     assert sum(verdicts) >= 10  # 14 of 73 screened pairs when written
+
+
+# -- normal-pattern box cut -------------------------------------------------------
+
+
+def test_cut_examples():
+    slabs = (Carton(Dims3(8, 5, 5)),) * 7
+    assert normal_pattern_box(FitProblem(slabs, Dims3(15, 12, 11))) == Dims3(15, 10, 10)
+    # a height-oriented carton adds only its height upwards
+    posts = (Carton(Dims3(4, 3, 2), height_oriented=True),) * 2
+    assert normal_pattern_box(FitProblem(posts, Dims3(9, 9, 9))) == Dims3(8, 8, 4)
+    assert normal_pattern_box(FitProblem(posts, Dims3(9, 9, 1))) is None
+    assert normal_pattern_box(FitProblem(posts, Dims3(9, 9, 9), enforce_ho=False)) == \
+        Dims3(8, 8, 8)
+
+
+@given(prob=scaled_problems())
+@settings(max_examples=300, deadline=None)
+def test_cut_keeps_the_oracle_verdict(prob):
+    fits = oracle_fit(prob).is_fit
+    cut = normal_pattern_box(prob)
+    if cut is None:
+        assert not fits
+    else:
+        assert all(c <= d for c, d in zip(cut.as_tuple(), prob.box.as_tuple()))
+        assert oracle_fit(FitProblem(prob.cartons, cut)).is_fit == fits
+
+
+@pytest.mark.parametrize("lengths", [(2.0,) * 5, (3.0, 7.0), (2.5, 2.5, 5.0)])
+def test_cut_keeps_witnesses_inside_the_tolerance(lengths):
+    # a row along x that overfills the box by 0.9 (n+1) eps, as in
+    # test_dff_keeps_witnesses_inside_the_tolerance, keeps the box's length
+    box = Dims3(10, 10, 10)
+    excess = 0.9 * (len(lengths) + 1) * tolerance_for(box)
+    lengths = lengths[:-1] + (lengths[-1] + excess,)
+    cartons = tuple(Carton(Dims3(x, 9.5, 10), height_oriented=True) for x in lengths)
+    assert normal_pattern_box(FitProblem(cartons, box)).a == box.a
+
+
+def test_cut_does_not_change_scan_rows(monkeypatch):
+    cfg = FitScanConfig(solver=SolverConfig(time_limit=30.0))
+    cuts = []
+
+    def recording(prob, sums=None):
+        cut = normal_pattern_box(prob, sums)
+        cuts.append(cut != prob.box)
+        return cut
+
+    for seed in (11, 13, 17, 25, 29):
+        boxes, ships = _five_to_seven_carton_world(seed)
+        monkeypatch.setattr(fitmatrix, "normal_pattern_box", recording)
+        on, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+        monkeypatch.setattr(fitmatrix, "normal_pattern_box", lambda prob, sums=None: prob.box)
+        off, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+        assert on.timeouts == off.timeouts == ()
+        assert on.rows == off.rows
+    assert sum(cuts) >= 20  # 28 of 121 when written
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(fitmatrix, name)
+    monkeypatch.setattr(fitmatrix, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_cut_refutes_the_seven_slab_order_in_the_tall_box(monkeypatch):
+    # cut to 15x10x10, which the volume bound refutes; the uncut box took
+    # the branch-and-bound about 370,000 nodes
+    searches = _spy(monkeypatch, "solve_fit")
+    boxes = BoxSet([CandidateBox(1, Dims3(15, 12, 11))])
+    ships = [Shipment(id=1, cartons=(Carton(Dims3(8, 5, 5)),) * 7)]
+    mat, _ = compute_fit_matrix(ships, boxes, cfg=FitScanConfig(
+        solver=SolverConfig(time_limit=1.0)))
+    assert mat.rows == ((),) and mat.timeouts == () and searches == []
+
+
+def test_boxes_with_one_cut_share_a_memo_entry(monkeypatch):
+    # both cut to 21x13x5; the second box is a memo hit
+    screens = _spy(monkeypatch, "dff_refutes")
+    boxes = BoxSet([CandidateBox(1, Dims3(21, 14, 5)), CandidateBox(2, Dims3(21, 14, 7))])
+    ships = [Shipment(id=1, cartons=(Carton(Dims3(8, 5, 5)),) * 7)]
+    mat, _ = compute_fit_matrix(ships, boxes)
+    assert mat.rows == ((),)
+    assert [prob.box for prob, in screens] == [Dims3(21, 13, 5)]

@@ -116,9 +116,11 @@ def test_packer_settles_long_fit_searches(dims, box, monkeypatch):
 
 
 def test_unchecked_packer_witness_is_not_accepted(monkeypatch):
-    # seven 8x5x5 cartons do not fit 15x12x11; a bogus witness must not say so
-    dims, box = [(8, 5, 5)] * 7, Dims3(15, 12, 11)
-    bogus = tuple(Placement(i, (8.0, 5.0, 5.0), (0.0, 0.0, 0.0)) for i in range(7))
+    # these six cartons do not fit 17x12x7 (cut to 17x12x6, the proof still
+    # takes over 150,000 nodes); a bogus witness must not say so
+    dims, box = [(10, 6, 5)] * 2 + [(6, 6, 4)] * 4, Dims3(17, 12, 7)
+    bogus = tuple(Placement(i, tuple(map(float, d)), (0.0, 0.0, 0.0))
+                  for i, d in enumerate(dims))
     monkeypatch.setattr(fitmatrix, "pack_extreme_points", lambda prob: bogus)
     boxes = BoxSet([CandidateBox(1, box)])
     ships = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in dims))]
