@@ -8,9 +8,11 @@ solvers, or the branch-and-bound solver. From four cartons on, the box is
 first cut to its normal-pattern size (``normal_pattern_box``: each axis to the
 longest sum of carton extents it holds), which never changes the verdict, and
 everything after the memo lookup sees the cut box; boxes that cut to the same
-size share one memo entry. From five cartons on the search is preceded by a
-dual-feasible-function volume bound (``dff_refutes``) that proves most
-NO_FITs without search, and from six on also by an extreme-point packer
+size share one memo entry. Orders with more than ``MAX_EXTENT_SUMS`` distinct
+extent sums on an axis keep the declared box, which bounds the cut's cost.
+From five cartons on the search is preceded by a dual-feasible-function
+volume bound (``dff_refutes``) that proves most NO_FITs without search, and
+from six on also by an extreme-point packer
 (``pack_extreme_points``) that finds most FITs in milliseconds. The scan
 always enforces the height-oriented (HO) and bottom-resting (BR) rules. A
 packing from the packer, the exact solvers or the search counts only after
@@ -50,13 +52,12 @@ from boxsuite.fitting import (
     carton_key,
     check_witness,
     dff_refutes,
-    extent_sums,
     fits_exact_small,
     fits_stacking,
-    normal_pattern_box,
     pack_extreme_points,
     solve_fit,
 )
+from boxsuite.fitting.checks import extent_sums, normal_pattern_box
 from boxsuite.model import (
     BoxSet,
     Carton,
@@ -473,7 +474,7 @@ class _ShipmentScanner:
         self.cfg = cfg
         self.memo: dict = {}
         # extent_sums per sorted carton-key tuple, up to the longest box axis
-        # plus the widest tolerance any box allows
+        # plus the widest tolerance any box allows (None: too many to cut)
         self.sums: dict = {}
         self._longest = float(boxes.dims.max())
         self._longest_eps = tolerance_for(Dims3(*(self._longest,) * 3))
@@ -488,11 +489,7 @@ class _ShipmentScanner:
         cut_key = None
         if len(cartons) >= 4:
             # Smaller orders are decided faster than the cut is computed.
-            sums = self.sums.get(keys)
-            if sums is None:
-                sums = self.sums[keys] = extent_sums(
-                    keys, self._longest + (len(cartons) + 1) * self._longest_eps)
-            cut = normal_pattern_box(declared, sums)
+            cut = self._cut_box(declared, keys)
             if cut is None:
                 self.memo[key] = Outcome.NO_FIT
                 return Outcome.NO_FIT
@@ -508,6 +505,15 @@ class _ShipmentScanner:
         if cut_key is not None:
             self.memo[cut_key] = out
         return out
+
+    def _cut_box(self, prob: FitProblem, keys: tuple) -> Optional[Dims3]:
+        """``normal_pattern_box`` of ``prob``, or its declared box when the
+        cartons have too many extent sums to cut."""
+        if keys not in self.sums:
+            self.sums[keys] = extent_sums(
+                keys, self._longest + (prob.n + 1) * self._longest_eps)
+        sums = self.sums[keys]
+        return prob.box if sums is None else normal_pattern_box(prob, sums)
 
     def _decide(self, prob: FitProblem, declared: FitProblem) -> Outcome:
         """Decide ``prob``, the declared problem or its cut box; every packing

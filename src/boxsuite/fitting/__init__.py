@@ -4,9 +4,8 @@ Layered from cheap to complete:
 
 - :func:`fits_single` / :func:`necessary_condition` / :func:`fits_stacking`
   are closed-form screens (exact for one carton, one-sided otherwise);
-- :func:`normal_pattern_box` cuts each box axis to the longest sum of
-  carton extents it holds, which never changes the verdict, and
-  :func:`extent_sums` gives those sums;
+- ``checks.normal_pattern_box`` cuts each box axis to the longest sum of
+  carton extents it holds, which never changes the verdict;
 - :func:`dff_refutes` is a one-sided dual-feasible-function volume bound
   that proves NO_FIT without search;
 - :func:`pack_extreme_points` is a constructive extreme-point packer that
@@ -20,11 +19,9 @@ Layered from cheap to complete:
 """
 from boxsuite.fitting.checks import (
     dff_refutes,
-    extent_sums,
     fits_single,
     fits_stacking,
     necessary_condition,
-    normal_pattern_box,
 )
 from boxsuite.fitting.extreme import pack_extreme_points
 from boxsuite.fitting.oracle import oracle_fit
@@ -50,12 +47,10 @@ __all__ = [
     "carton_key",
     "check_witness",
     "dff_refutes",
-    "extent_sums",
     "fits_exact_small",
     "fits_single",
     "fits_stacking",
     "necessary_condition",
-    "normal_pattern_box",
     "orientation_extents",
     "oracle_fit",
     "pack_extreme_points",

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from boxsuite.fitting.types import FitProblem, carton_key, orientation_extents
+from boxsuite.fitting.types import FitProblem, orientation_extents
 from boxsuite.model import Carton, Dims3, tolerance_for
 
 __all__ = [
@@ -161,8 +161,15 @@ def dff_refutes(problem: FitProblem) -> bool:
     return bool(total.max() > 1.0 + _DFF_TOL)
 
 
+# Most subset sums ``extent_sums`` builds along one axis: 4^7, every sum of
+# seven free cartons (none, or one of three extents, each). Past it the cut
+# is skipped, so that its cost stays bounded on long orders of fractional
+# cartons, whose distinct sums grow about fourfold per carton.
+MAX_EXTENT_SUMS = 4 ** 7
+
+
 def extent_sums(keys: Sequence[tuple], limit: float
-                ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+                ) -> Optional[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Sorted sums, up to ``limit``, of one allowed extent from each of any
     subset of the cartons: along a horizontal axis, and along the vertical one.
 
@@ -170,26 +177,28 @@ def extent_sums(keys: Sequence[tuple], limit: float
     adds its length or width across and only its height up; a free one adds
     any of its dims on either axis. The empty subset makes 0.0 the first sum.
     Sums are formed in ``keys`` order, so callers that pass sorted keys get
-    the same floats whatever order the cartons came in.
+    the same floats whatever order the cartons came in. None when an axis
+    has more than ``MAX_EXTENT_SUMS`` sums.
     """
     across = _subset_sums([dims[:2] if pinned else dims for pinned, dims, _ in keys], limit)
-    if not any(pinned for pinned, _, _ in keys):
-        return across, across
-    return across, _subset_sums([dims[2:] if pinned else dims for pinned, dims, _ in keys],
-                                limit)
+    if across is None or not any(pinned for pinned, _, _ in keys):
+        return None if across is None else (across, across)
+    up = _subset_sums([dims[2:] if pinned else dims for pinned, dims, _ in keys], limit)
+    return None if up is None else (across, up)
 
 
-def _subset_sums(choices, limit: float) -> tuple[float, ...]:
+def _subset_sums(choices, limit: float) -> Optional[tuple[float, ...]]:
     sums = {0.0}
     for extents in choices:
         extents = set(extents)
         sums |= {s + e for s in sums for e in extents if s + e <= limit}
+        if len(sums) > MAX_EXTENT_SUMS:
+            return None
     return tuple(sorted(sums))
 
 
 def normal_pattern_box(problem: FitProblem,
-                       sums: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None,
-                       ) -> Optional[Dims3]:
+                       sums: tuple[tuple[float, ...], tuple[float, ...]]) -> Optional[Dims3]:
     """The box with each axis cut to the longest sum of carton extents it
     holds, or None when some axis holds no carton at all (no packing exists).
 
@@ -203,13 +212,10 @@ def normal_pattern_box(problem: FitProblem,
     tolerance keeps its length; no axis ever grows.
 
     ``sums`` are the cartons' ``extent_sums`` with a limit of at least the
-    longest axis plus that slack; they are computed here when not given.
+    longest axis plus that slack.
     """
     box = problem.box.as_tuple()
     slack = (problem.n + 1) * problem.eps
-    if sums is None:
-        keys = sorted(carton_key(c, problem.enforce_ho) for c in problem.cartons)
-        sums = extent_sums(keys, max(box) + slack)
     across, up = sums
     cut = []
     for length, axis_sums in zip(box, (across, across, up)):

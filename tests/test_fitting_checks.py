@@ -1,6 +1,7 @@
 """Fast-path checks: exact single-carton test, one-row stacking, necessity,
 the dual-feasible-function NO_FIT screen and the normal-pattern box cut."""
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,11 @@ from boxsuite.fitting import (
     fits_single,
     fits_stacking,
     necessary_condition,
-    normal_pattern_box,
     oracle_fit,
     solve_fit,
 )
+from boxsuite.fitting.checks import MAX_EXTENT_SUMS, extent_sums, normal_pattern_box
+from boxsuite.fitting.types import carton_key
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, tolerance_for
 
 from conftest import random_fit_problem, sorted_lw
@@ -239,22 +241,27 @@ def test_dff_screen_does_not_change_scan_rows(monkeypatch):
 # -- normal-pattern box cut -------------------------------------------------------
 
 
+def _cut(prob):
+    keys = sorted(carton_key(c, prob.enforce_ho) for c in prob.cartons)
+    sums = extent_sums(keys, max(prob.box.as_tuple()) + (prob.n + 1) * prob.eps)
+    return normal_pattern_box(prob, sums)
+
+
 def test_cut_examples():
     slabs = (Carton(Dims3(8, 5, 5)),) * 7
-    assert normal_pattern_box(FitProblem(slabs, Dims3(15, 12, 11))) == Dims3(15, 10, 10)
+    assert _cut(FitProblem(slabs, Dims3(15, 12, 11))) == Dims3(15, 10, 10)
     # a height-oriented carton adds only its height upwards
     posts = (Carton(Dims3(4, 3, 2), height_oriented=True),) * 2
-    assert normal_pattern_box(FitProblem(posts, Dims3(9, 9, 9))) == Dims3(8, 8, 4)
-    assert normal_pattern_box(FitProblem(posts, Dims3(9, 9, 1))) is None
-    assert normal_pattern_box(FitProblem(posts, Dims3(9, 9, 9), enforce_ho=False)) == \
-        Dims3(8, 8, 8)
+    assert _cut(FitProblem(posts, Dims3(9, 9, 9))) == Dims3(8, 8, 4)
+    assert _cut(FitProblem(posts, Dims3(9, 9, 1))) is None
+    assert _cut(FitProblem(posts, Dims3(9, 9, 9), enforce_ho=False)) == Dims3(8, 8, 8)
 
 
 @given(prob=scaled_problems())
 @settings(max_examples=300, deadline=None)
 def test_cut_keeps_the_oracle_verdict(prob):
     fits = oracle_fit(prob).is_fit
-    cut = normal_pattern_box(prob)
+    cut = _cut(prob)
     if cut is None:
         assert not fits
     else:
@@ -270,14 +277,14 @@ def test_cut_keeps_witnesses_inside_the_tolerance(lengths):
     excess = 0.9 * (len(lengths) + 1) * tolerance_for(box)
     lengths = lengths[:-1] + (lengths[-1] + excess,)
     cartons = tuple(Carton(Dims3(x, 9.5, 10), height_oriented=True) for x in lengths)
-    assert normal_pattern_box(FitProblem(cartons, box)).a == box.a
+    assert _cut(FitProblem(cartons, box)).a == box.a
 
 
 def test_cut_does_not_change_scan_rows(monkeypatch):
     cfg = FitScanConfig(solver=SolverConfig(time_limit=30.0))
     cuts = []
 
-    def recording(prob, sums=None):
+    def recording(prob, sums):
         cut = normal_pattern_box(prob, sums)
         cuts.append(cut != prob.box)
         return cut
@@ -286,7 +293,7 @@ def test_cut_does_not_change_scan_rows(monkeypatch):
         boxes, ships = _five_to_seven_carton_world(seed)
         monkeypatch.setattr(fitmatrix, "normal_pattern_box", recording)
         on, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
-        monkeypatch.setattr(fitmatrix, "normal_pattern_box", lambda prob, sums=None: prob.box)
+        monkeypatch.setattr(fitmatrix, "normal_pattern_box", lambda prob, sums: prob.box)
         off, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
         assert on.timeouts == off.timeouts == ()
         assert on.rows == off.rows
@@ -319,3 +326,32 @@ def test_boxes_with_one_cut_share_a_memo_entry(monkeypatch):
     mat, _ = compute_fit_matrix(ships, boxes)
     assert mat.rows == ((),)
     assert [prob.box for prob, in screens] == [Dims3(21, 13, 5)]
+
+
+def _fractional_cartons(n, seed):
+    # sizes as a unit conversion leaves them: no two subset sums coincide
+    rng = random.Random(seed)
+    return tuple(Carton(Dims3(*(rng.uniform(4, 12) for _ in range(3))))
+                 for _ in range(n))
+
+
+def test_extent_sums_stop_past_the_cap():
+    keys = sorted(map(carton_key, _fractional_cartons(16, 1)))
+    assert extent_sums(keys, 100.0) is None
+    # seven free cartons never have more than 4^7 sums
+    across, up = extent_sums(keys[:7], 100.0)
+    assert len(across) == MAX_EXTENT_SUMS and up == across
+
+
+def test_long_fractional_order_scans_within_the_time_limit(monkeypatch):
+    # 16 distinct fractional cartons have tens of millions of extent sums
+    # below the box's 60; the scan gives up on the cut instead of listing them
+    sums = _spy(monkeypatch, "extent_sums")
+    cartons = _fractional_cartons(16, 2)
+    boxes = BoxSet([CandidateBox(1, Dims3(60, 60, 60))])
+    start = time.monotonic()
+    mat, _ = compute_fit_matrix([Shipment(id=1, cartons=cartons)], boxes, cfg=FitScanConfig(
+        solver=SolverConfig(time_limit=0.5)))
+    assert time.monotonic() - start < 5.0
+    assert [len(keys) for keys, _ in sums] == [16]
+    assert mat.rows == ((0,),)
