@@ -1,7 +1,7 @@
 import random
 
 from boxsuite.fitting import FitProblem
-from boxsuite.model import Carton, Dims3
+from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment
 
 
 def random_fit_problem(rng: random.Random, n_range=(1, 4), dim_max=5, box_max=8,
@@ -24,3 +24,19 @@ def sorted_lw(box: Dims3) -> Dims3:
     """Box with footprint dims nonincreasing, height kept third."""
     a, b = (box.a, box.b) if box.a >= box.b else (box.b, box.a)
     return Dims3(a, b, box.c)
+
+
+def five_to_seven_carton_world(seed):
+    """Twelve boxes and eight orders of 5 to 7 cartons, from one to three kinds each."""
+    rng = random.Random(seed)
+    boxes = BoxSet([CandidateBox(i + 1, Dims3(*(rng.randint(4, 10) for _ in range(3))))
+                    for i in range(12)])
+    ships = []
+    for sid in range(1, 9):
+        n = rng.randint(5, 7)
+        kinds = [tuple(rng.randint(1, 5) for _ in range(3))
+                 for _ in range(rng.randint(1, 3))]
+        ships.append(Shipment(id=sid, cartons=tuple(
+            Carton(Dims3(*rng.choice(kinds)), height_oriented=rng.random() < 0.2)
+            for _ in range(n))))
+    return boxes, ships

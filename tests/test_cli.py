@@ -55,12 +55,12 @@ class TestFit:
         assert manifest["timeouts"] == []
 
     def test_forced_timeout_recorded_with_bit_clear(self, tmp_path):
-        # passes the prescreens, the box cut (to 17x12x6) and the volume
-        # bound, and its NO_FIT proof takes over 150,000 branch-and-bound
-        # nodes, so 1 ms always runs out
-        dims = [(10, 6, 5)] * 2 + [(6, 6, 4)] * 4
-        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(17, 12, 7))])
-        shipments = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in dims))]
+        # passes the prescreens, the box cut, the volume bound and the
+        # packer, and its search is still open after 5 s and about 665,000
+        # branch-and-bound nodes, so 1 ms always runs out
+        cartons = (Carton(Dims3(5, 3, 4)),) * 6 + (Carton(Dims3(4, 1, 1)),)
+        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(9, 7, 6))])
+        shipments = [Shipment(id=1, cartons=cartons)]
         bpath, spath = tmp_path / "b.csv", tmp_path / "s.csv"
         save_boxes(boxes, bpath)
         save_shipments(shipments, spath)

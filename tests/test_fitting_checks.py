@@ -26,7 +26,7 @@ from boxsuite.fitting.checks import MAX_EXTENT_SUMS, extent_sums, normal_pattern
 from boxsuite.fitting.types import carton_key
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, tolerance_for
 
-from conftest import random_fit_problem, sorted_lw
+from conftest import five_to_seven_carton_world, random_fit_problem, sorted_lw
 
 
 def test_single_free_examples():
@@ -204,21 +204,6 @@ def test_dff_keeps_witnesses_inside_the_tolerance(lengths):
     assert not dff_refutes(prob)
 
 
-def _five_to_seven_carton_world(seed):
-    rng = random.Random(seed)
-    boxes = BoxSet([CandidateBox(i + 1, Dims3(*(rng.randint(4, 10) for _ in range(3))))
-                    for i in range(12)])
-    ships = []
-    for sid in range(1, 9):
-        n = rng.randint(5, 7)
-        kinds = [tuple(rng.randint(1, 5) for _ in range(3))
-                 for _ in range(rng.randint(1, 3))]
-        ships.append(Shipment(id=sid, cartons=tuple(
-            Carton(Dims3(*rng.choice(kinds)), height_oriented=rng.random() < 0.2)
-            for _ in range(n))))
-    return boxes, ships
-
-
 def test_dff_screen_does_not_change_scan_rows(monkeypatch):
     cfg = FitScanConfig(solver=SolverConfig(time_limit=30.0))
     verdicts = []
@@ -228,7 +213,7 @@ def test_dff_screen_does_not_change_scan_rows(monkeypatch):
         return verdicts[-1]
 
     for seed in (13, 25, 29):
-        boxes, ships = _five_to_seven_carton_world(seed)
+        boxes, ships = five_to_seven_carton_world(seed)
         monkeypatch.setattr("boxsuite.fitmatrix.dff_refutes", recording)
         on, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
         monkeypatch.setattr("boxsuite.fitmatrix.dff_refutes", lambda prob: False)
@@ -290,7 +275,7 @@ def test_cut_does_not_change_scan_rows(monkeypatch):
         return cut
 
     for seed in (11, 13, 17, 25, 29):
-        boxes, ships = _five_to_seven_carton_world(seed)
+        boxes, ships = five_to_seven_carton_world(seed)
         monkeypatch.setattr(fitmatrix, "normal_pattern_box", recording)
         on, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
         monkeypatch.setattr(fitmatrix, "normal_pattern_box", lambda prob, sums: prob.box)

@@ -116,14 +116,14 @@ def test_packer_settles_long_fit_searches(dims, box, monkeypatch):
 
 
 def test_unchecked_packer_witness_is_not_accepted(monkeypatch):
-    # these six cartons do not fit 17x12x7 (cut to 17x12x6, the proof still
-    # takes over 150,000 nodes); a bogus witness must not say so
-    dims, box = [(10, 6, 5)] * 2 + [(6, 6, 4)] * 4, Dims3(17, 12, 7)
-    bogus = tuple(Placement(i, tuple(map(float, d)), (0.0, 0.0, 0.0))
-                  for i, d in enumerate(dims))
+    # the search for these seven cartons in 9x7x6 is still open after 5 s
+    # and about 665,000 nodes; a bogus witness must not settle it
+    cartons = (Carton(Dims3(5, 3, 4)),) * 6 + (Carton(Dims3(4, 1, 1)),)
+    bogus = tuple(Placement(i, c.dims.as_tuple(), (0.0, 0.0, 0.0))
+                  for i, c in enumerate(cartons))
     monkeypatch.setattr(fitmatrix, "pack_extreme_points", lambda prob: bogus)
-    boxes = BoxSet([CandidateBox(1, box)])
-    ships = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in dims))]
+    boxes = BoxSet([CandidateBox(1, Dims3(9, 7, 6))])
+    ships = [Shipment(id=1, cartons=cartons)]
     mat, _ = compute_fit_matrix(ships, boxes, cfg=FitScanConfig(
         solver=SolverConfig(time_limit=1e-3)))
     assert mat.rows == ((),) and mat.timeouts == ((1, 1),)

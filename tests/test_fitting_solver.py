@@ -5,6 +5,8 @@ import statistics
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxsuite import fitmatrix
+from boxsuite.fitmatrix import FitScanConfig, compute_fit_matrix
 from boxsuite.fitting import (
     FitProblem,
     Outcome,
@@ -12,10 +14,11 @@ from boxsuite.fitting import (
     check_witness,
     oracle_fit,
     solve_fit,
+    solver,
 )
-from boxsuite.model import Carton, Dims3
+from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment
 
-from conftest import random_fit_problem
+from conftest import five_to_seven_carton_world, random_fit_problem
 
 GENEROUS = SolverConfig(time_limit=30.0)
 
@@ -133,18 +136,21 @@ def test_rotation_invariance_free_cartons(dims, box, perm):
     assert solve_fit(base, GENEROUS).outcome is solve_fit(rotated, GENEROUS).outcome
 
 
-# Node counts of the search tree, recorded when the solver was first made
-# faster: a speed-up must explore the same tree, not a different one.
+# Node counts of the search tree. A speed-up of the node rate must explore
+# the same tree; a change to the pruning re-records the counts it changes.
 RECORDED_TREES = [
     ((15, 12, 7), [((12, 8, 4), False), ((6, 5, 5), False), ((6, 5, 5), False),
                    ((9, 5, 2), True), ((9, 5, 2), True), ((9, 5, 2), True)],
      Outcome.FIT, 4339),
     ((15, 10, 7), [((10, 7, 2), False)] * 3 + [((8, 5, 5), False)] * 3, Outcome.NO_FIT, 2480),
     ((21, 8, 7), [((7, 6, 5), False)] * 2 + [((6, 6, 4), False)] * 2 + [((5, 4, 4), False)],
-     Outcome.FIT, 4268),
+     Outcome.FIT, 32),
     ((11, 10, 9), [((7, 6, 5), False)] * 2 + [((6, 6, 4), False)] * 2 + [((5, 4, 4), False)],
      Outcome.NO_FIT, 5065),
     ((13, 10, 5), [((5, 2, 2), False)] + [((9, 4, 3), False)] * 4, Outcome.FIT, 3751),
+    # no two of these cartons stack in a box 6 tall, so only undominated
+    # footprints are searched
+    ((17, 12, 6), [((10, 6, 5), False)] * 2 + [((6, 6, 4), False)] * 4, Outcome.NO_FIT, 1959),
 ]
 
 
@@ -161,3 +167,102 @@ def test_search_tree_matches_the_recorded_one():
         ((8.0, 12.0, 4.0), (2.0, 0.0, 2.0)), ((5.0, 6.0, 5.0), (10.0, 0.0, 2.0)),
         ((5.0, 6.0, 5.0), (10.0, 6.0, 2.0)), ((2.0, 9.0, 5.0), (0.0, 0.0, 0.0)),
         ((5.0, 9.0, 2.0), (2.0, 0.0, 0.0)), ((5.0, 9.0, 2.0), (7.0, 0.0, 0.0))]
+
+
+# -- root orientation reduction ---------------------------------------------------
+
+
+@st.composite
+def thin_box_problems(draw):
+    """Two to four cartons in a box with one axis shorter than twice every
+    carton's smallest dim, so that no two cartons are separated along it."""
+    scale = draw(st.sampled_from((0.25, 1.7)))
+    kinds = draw(st.lists(st.tuples(*[st.integers(2, 6)] * 3), min_size=1, max_size=3))
+    dims = [draw(st.sampled_from(kinds)) for _ in range(draw(st.integers(2, 4)))]
+    cartons = tuple(
+        Carton(Dims3(*(scale * v for v in d)),
+               height_oriented=draw(st.booleans()), bottom_resting=draw(st.booleans()))
+        for d in dims)
+    box = list(draw(st.tuples(*[st.integers(5, 12)] * 3)))
+    least = min(min(d) for d in dims)
+    box[draw(st.integers(0, 2))] = draw(st.integers(least, 2 * least - 1))
+    return FitProblem(cartons, Dims3(*(scale * v for v in box)))
+
+
+_drop_dominated = solver._drop_dominated_orientations
+
+
+def _record_reductions(monkeypatch, fired):
+    def recording(options, box, eps):
+        reduced = _drop_dominated(options, box, eps)
+        fired.append(reduced != options)
+        return reduced
+    monkeypatch.setattr(solver, "_drop_dominated_orientations", recording)
+
+
+def test_orientation_reduction_keeps_the_oracle_verdict(monkeypatch):
+    fired, examples = [], []
+    _record_reductions(monkeypatch, fired)
+
+    @given(prob=thin_box_problems())
+    @settings(max_examples=300, deadline=None)
+    def agrees(prob):
+        before = len(fired)
+        got = solve_fit(prob, GENEROUS)
+        examples.append(any(fired[before:]))
+        assert got.outcome is oracle_fit(prob).outcome
+        if got.is_fit:
+            assert check_witness(prob, got.witness)
+
+    agrees()
+    assert sum(examples) >= len(examples) // 10  # 16% to 33% in six runs when written
+
+
+def _flat_box_world(seed):
+    """Twelve boxes with one axis of 4 to 7 and eight orders of 4 to 6 cartons
+    of 3 to 6 a side, so that few cartons are separated along the short axis."""
+    rng = random.Random(seed)
+    boxes = []
+    for i in range(12):
+        dims = [rng.randint(8, 16) for _ in range(3)]
+        dims[rng.randint(0, 2)] = rng.randint(4, 7)
+        boxes.append(CandidateBox(i + 1, Dims3(*dims)))
+    ships = []
+    for sid in range(1, 9):
+        kinds = [tuple(rng.randint(3, 6) for _ in range(3))
+                 for _ in range(rng.randint(1, 3))]
+        ships.append(Shipment(id=sid, cartons=tuple(
+            Carton(Dims3(*rng.choice(kinds)), height_oriented=rng.random() < 0.2)
+            for _ in range(rng.randint(4, 6)))))
+    return BoxSet(boxes), ships
+
+
+def test_orientation_reduction_does_not_change_scan_rows(monkeypatch):
+    cfg = FitScanConfig(solver=SolverConfig(time_limit=30.0))
+    fired = []
+    worlds = [five_to_seven_carton_world(seed) for seed in (11, 13, 17, 25, 29)]
+    worlds += [_flat_box_world(seed) for seed in (2, 3, 4, 7, 8)]
+    for boxes, ships in worlds:
+        _record_reductions(monkeypatch, fired)
+        on, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+        monkeypatch.setattr(solver, "_drop_dominated_orientations",
+                            lambda options, box, eps: options)
+        off, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+        assert on.timeouts == off.timeouts == ()
+        assert on.rows == off.rows
+    assert sum(fired) >= 30  # 69 of 146 searches when written
+
+
+def test_scan_proves_the_flat_two_slab_order_in_few_nodes(monkeypatch):
+    # cut to 17x12x6, where no two of these cartons stack; searched over
+    # all their orientations, the proof takes about 190,000 nodes
+    verdicts = []
+    monkeypatch.setattr(fitmatrix, "solve_fit", lambda prob, cfg=None: (
+        verdicts.append(solve_fit(prob, cfg)) or verdicts[-1]))
+    dims = [(10, 6, 5)] * 2 + [(6, 6, 4)] * 4
+    boxes = BoxSet([CandidateBox(1, Dims3(17, 12, 7))])
+    ships = [Shipment(id=1, cartons=tuple(Carton(Dims3(*d)) for d in dims))]
+    mat, _ = compute_fit_matrix(ships, boxes)
+    assert mat.rows == ((),) and mat.timeouts == ()
+    assert [v.outcome for v in verdicts] == [Outcome.NO_FIT]
+    assert verdicts[0].nodes < 5000
