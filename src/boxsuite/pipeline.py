@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -25,12 +25,14 @@ from boxsuite.pmedian import (
     Suite,
     check_feasible,
     collapse_rows,
+    drop_dominated_columns,
     extract_assignment,
     greedy_construct,
     local_search_interchange,
     solve_exact,
     solve_grasp,
     solve_lagrangian,
+    suite_cost,
 )
 
 __all__ = [
@@ -155,6 +157,7 @@ class RecommendOutcome:
     message: str
     rows: int = 0  # cost-matrix rows, lock rows included
     distinct_rows: int = 0  # rows the solver saw after merging identical ones
+    columns: int = 0  # boxes the solver saw: those no other box dominates
 
     @property
     def feasible(self) -> bool:
@@ -165,15 +168,38 @@ def _fmt(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else f"{v:g}"
 
 
-def _dispatch(inst: PMedianInstance, run: RunConfig) -> SolveResult:
+def _dispatch(inst: PMedianInstance, run: RunConfig, candidates: int) -> SolveResult:
     if run.method == "exact":
-        return solve_exact(inst)
+        try:
+            return solve_exact(inst)
+        except DataError as exc:
+            raise DataError(f"{exc} ({inst.m} of {candidates} candidate boxes "
+                            "are undominated)") from None
     if run.method == "exchange":
         start = greedy_construct(inst, np.random.default_rng(run.grasp.seed), 0.0)
         return local_search_interchange(inst, start)
     if run.method == "grasp":
         return solve_grasp(inst, run.grasp)
     return solve_lagrangian(inst)
+
+
+def _solve(inst: PMedianInstance, run: RunConfig) -> tuple[SolveResult, PMedianInstance]:
+    """The configured solver's result on inst's undominated columns, its suite
+    mapped back to inst's columns, and the instance the solver saw.
+
+    When at most p columns are undominated, every one of them is opened and
+    the suite is padded with the lowest-index dominated columns, without a
+    solver: that suite already meets every row's minimum.
+    """
+    reduced, kept = drop_dominated_columns(inst)
+    if len(kept) <= inst.p:
+        pad = np.setdiff1d(np.arange(inst.m), kept)[: inst.p - len(kept)]
+        suite = inst.suite(np.concatenate((kept, pad)).tolist())
+        cost = suite_cost(inst, suite)
+        return SolveResult(suite=suite, cost=cost, lower_bound=cost, gap=0.0), reduced
+    result = _dispatch(reduced, run, inst.m)
+    suite = Suite(kept[list(result.suite.members)].tolist())
+    return replace(result, suite=suite), reduced
 
 
 def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
@@ -183,8 +209,15 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
     Stages: nest-aware fit scan (skipped when a precomputed fit matrix is
     supplied), cost matrix with lock penalties, the configured solver on the
     matrix's distinct rows (identical rows merged into one weighted customer,
-    which changes no objective), feasibility check against the penalty level,
-    and the packing report.
+    which changes no objective) and undominated columns, feasibility check
+    against the penalty level, and the packing report.
+    A box is dominated when another box costs no more on every distinct row,
+    lock rows included (so a locked box, the only zero of its lock row, never
+    is); dropping it leaves the optimum unchanged, and rows that coincide on
+    the kept boxes are merged again. The solver's suite is mapped back to box
+    indices, and the assignment and report are taken on the full matrix.
+    When at most p boxes are undominated, the suite is all of them plus the
+    lowest-index dominated boxes, and no solver runs.
     An empty suite is a legitimate outcome: it means no p-subset containing
     the locked boxes covers every packable shipment.
     """
@@ -217,13 +250,13 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
             write_outputs(outcome, run, boxes, run.out_dir)
         return outcome
     inst, rows = collapse_rows(cm.C, run.p)
-    result = _dispatch(inst, run)
+    result, reduced = _solve(inst, run)
     suite = check_feasible(result, cm.gamma)
     if suite is None:
         outcome = RecommendOutcome(
             suite=None, box_ids=(), report=None, result=result, gamma=cm.gamma,
             assignment=None, packables=packables, message=NO_FEASIBLE_MESSAGE,
-            rows=cm.C.shape[0], distinct_rows=inst.n)
+            rows=cm.C.shape[0], distinct_rows=reduced.n, columns=reduced.m)
     else:
         assignment = extract_assignment(inst, suite)[rows[: cm.n_real]]
         report = _build_report(shipments, packables, boxes, suite, assignment,
@@ -233,7 +266,7 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
             suite=suite, box_ids=ids, report=report, result=result,
             gamma=cm.gamma, assignment=assignment, packables=packables,
             message=f"selected {len(ids)} boxes, objective {_fmt(result.cost)}",
-            rows=cm.C.shape[0], distinct_rows=inst.n)
+            rows=cm.C.shape[0], distinct_rows=reduced.n, columns=reduced.m)
     if run.out_dir is not None:
         write_outputs(outcome, run, boxes, run.out_dir)
     return outcome
@@ -282,6 +315,7 @@ def write_outputs(outcome: RecommendOutcome, run: RunConfig, boxes: BoxSet,
         "gamma": outcome.gamma,
         "rows": outcome.rows,
         "distinct_rows": outcome.distinct_rows,
+        "columns": outcome.columns,
         "objective": outcome.result.cost if outcome.feasible else None,
         "lower_bound": outcome.result.lower_bound,
         "gap": outcome.result.gap,

@@ -6,6 +6,7 @@ from boxsuite.pmedian.instance import (
     Suite,
     check_feasible,
     collapse_rows,
+    drop_dominated_columns,
     extract_assignment,
     solve_exact,
     suite_cost,
@@ -24,6 +25,7 @@ __all__ = [
     "check_feasible",
     "collapse_rows",
     "closest_two",
+    "drop_dominated_columns",
     "dual_value",
     "extract_assignment",
     "greedy_construct",

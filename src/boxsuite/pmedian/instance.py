@@ -16,6 +16,7 @@ __all__ = [
     "PMedianInstance",
     "Suite",
     "collapse_rows",
+    "drop_dominated_columns",
     "SolveResult",
     "suite_cost",
     "extract_assignment",
@@ -100,13 +101,16 @@ class SolveResult:
                 raise DataError("gap must be nonnegative")
 
 
-def collapse_rows(d: np.ndarray, p: int) -> tuple[PMedianInstance, np.ndarray]:
+def collapse_rows(d: np.ndarray, p: int,
+                  w: Optional[np.ndarray] = None) -> tuple[PMedianInstance, np.ndarray]:
     """Instance on the distinct rows of d, each weighted by its multiplicity,
     and the map from every row of d to its distinct row.
 
-    Distinct rows keep their first-occurrence order. Rows are matched by
-    their bytes through a hash table, in O(n*m); merging identical customers
-    changes no total over customers, so every solver returns the same suite.
+    Row i weighs w[i] (default 1), so a merged row carries the sum of its
+    rows' weights. Distinct rows keep their first-occurrence order. Rows are
+    matched by their bytes through a hash table, in O(n*m); merging identical
+    customers changes no total over customers, so every solver returns the
+    same suite.
     """
     d = np.ascontiguousarray(np.asarray(d, dtype=np.float64))
     first: dict[bytes, int] = {}
@@ -119,9 +123,66 @@ def collapse_rows(d: np.ndarray, p: int) -> tuple[PMedianInstance, np.ndarray]:
             r = first[key] = len(keep)
             keep.append(i)
         rows[i] = r
-    w = np.bincount(rows).astype(np.float64)
+    w = np.bincount(rows, weights=w).astype(np.float64)
     distinct = d if len(keep) == len(d) else d[keep]  # no copy without duplicates
     return PMedianInstance(distinct, p, w), rows
+
+
+# The column dominance test takes candidate columns 32 at a time, compares
+# every pair on the first rows at once (most pairs fail there) and the pairs
+# left a chunk of rows at a time, with about 2^17 entries per temporary.
+_COLUMN_BLOCK = 32
+_HEAD_ROWS = 32
+_DOMINANCE_BLOCK = 1 << 17
+
+
+def drop_dominated_columns(inst: PMedianInstance) -> tuple[PMedianInstance, np.ndarray]:
+    """Instance on the columns no other column dominates, and their indices.
+
+    Column k dominates column j when d[i, k] <= d[i, j] in every row, so
+    swapping j for k never raises the cost of a suite: the optimum over the
+    kept columns is the optimum of inst, and a kept-column suite costs the
+    same in both instances. Among equal columns the lowest index is kept.
+
+    Columns are visited in ascending (column sum, index) order, so a column
+    comes after every column that dominates it, and each is compared only
+    with the columns kept before it; a column dominated only by a higher
+    index whose sum rounds to the same value is kept, which is still exact.
+    The rows of the kept columns are collapsed again, merged rows adding
+    their weights, and p is capped at the kept count.
+    """
+    d = inst.d
+    order = np.lexsort((np.arange(inst.m), d.sum(axis=0)))
+    kept = np.empty(0, dtype=np.int64)
+    for start in range(0, inst.m, _COLUMN_BLOCK):
+        cand = order[start:start + _COLUMN_BLOCK]
+        cand = cand[~_dominates(d, kept, cand).any(axis=0)]
+        # a candidate also falls to an earlier candidate of its own block
+        later = np.triu(_dominates(d, cand, cand), k=1)
+        kept = np.concatenate((kept, cand[~later.any(axis=0)]))
+    kept.sort()
+    reduced, _ = collapse_rows(d[:, kept], min(inst.p, len(kept)), inst.w)
+    return reduced, kept
+
+
+def _dominates(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[x, y]: column a[x] of d is <= column b[y] in every row.
+
+    The first rows are compared for every pair at once, the rest a chunk at
+    a time for the pairs no earlier row refuted.
+    """
+    head = max(1, min(_HEAD_ROWS, _DOMINANCE_BLOCK // max(1, len(a) * len(b))))
+    da, db = d[:head, a], d[:head, b]
+    x, y = np.nonzero((da[:, :, None] <= db[:, None, :]).all(axis=0))
+    r = head
+    while r < d.shape[0] and x.size:
+        rows = d[r:r + max(1, _DOMINANCE_BLOCK // x.size)]
+        held = (rows[:, a[x]] <= rows[:, b[y]]).all(axis=0)
+        x, y = x[held], y[held]
+        r += len(rows)
+    out = np.zeros((len(a), len(b)), dtype=bool)
+    out[x, y] = True
+    return out
 
 
 def suite_cost(inst: PMedianInstance, suite: Suite) -> float:

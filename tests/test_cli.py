@@ -181,11 +181,39 @@ class TestRecommend:
                      "--shipments", str(spath), "-p", "2", "--lock", "3",
                      "--out", str(tmp_path / "run")]) == 0
         payload = json.loads((tmp_path / "run" / "suite.json").read_text())
-        # three shipment rows plus one lock row; shipments 20 and 21 share one
+        # three shipment rows plus one lock row; shipments 20 and 21 share
+        # one. Box 3 costs more than box 2 on every shipment, but the lock
+        # row keeps it undominated.
         assert payload["rows"] == 4
         assert payload["distinct_rows"] == 3
+        assert payload["columns"] == 3
         assert [e["id"] for e in payload["suite"]] == [2, 3]
         assert payload["objective"] == 3 * 24
+
+    def test_exact_runs_on_undominated_boxes(self, tmp_path, capsys):
+        # 30 boxes, six per cube size k: only the k-cube is undominated, as
+        # each other box fits the same cube cartons at a larger volume.
+        boxes = BoxSet([CandidateBox(id=10 * k + e, inner=Dims3(k, k + a, k + b))
+                        for k in range(1, 6)
+                        for e, (a, b) in enumerate(
+                            [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)])])
+        shipments = [Shipment(id=k, cartons=(Carton(Dims3(k, k, k)),))
+                     for k in range(1, 6)]
+        bpath, spath = tmp_path / "b.csv", tmp_path / "s.csv"
+        save_boxes(boxes, bpath)
+        save_shipments(shipments, spath)
+        fit = tmp_path / "fit.csv"
+        assert main(["fit", "--boxes", str(bpath), "--shipments", str(spath),
+                     "--out", str(fit)]) == 0
+        rc = main(["recommend", "--fit", str(fit), "--boxes", str(bpath),
+                   "--shipments", str(spath), "-p", "2", "--method", "exact",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0, capsys.readouterr().err
+        payload = json.loads((tmp_path / "run" / "suite.json").read_text())
+        assert payload["columns"] == 5
+        # cubes 3 and 5: 3 * 27 + 2 * 125 beats every other pair of cubes
+        assert [e["id"] for e in payload["suite"]] == [30, 50]
+        assert payload["objective"] == 3 * 27 + 2 * 125
 
     def test_infeasible_still_exits_0(self, tmp_path, capsys):
         boxes = BoxSet([CandidateBox(id=1, inner=Dims3(10, 1, 1)),

@@ -77,6 +77,24 @@ class TestRecommend:
             assert out.box_ids == (2, 3)
         assert len(set(costs.values())) == 1
 
+    @pytest.mark.parametrize("method", ["exact", "exchange", "grasp", "lagrangian"])
+    def test_fewer_undominated_boxes_than_p(self, method):
+        # Box 1 is the cheapest and fits every order, so it dominates the two
+        # others: no solver runs, and the suite is box 1 padded with the
+        # lowest-index dominated box.
+        boxes = BoxSet([CandidateBox(id=1, inner=Dims3(3, 3, 3)),
+                        CandidateBox(id=2, inner=Dims3(4, 4, 4)),
+                        CandidateBox(id=3, inner=Dims3(5, 5, 5))])
+        shipments = [Shipment(id=10, cartons=(Carton(Dims3(3, 3, 3)),)),
+                     Shipment(id=11, cartons=(Carton(Dims3(2, 2, 1)),))]
+        out = recommend(RunConfig(p=2, method=method), shipments, boxes)
+        assert out.feasible
+        assert (out.distinct_rows, out.columns) == (1, 1)
+        assert out.box_ids == (1, 2)
+        assert out.result.cost == 2 * 27.0  # the sum of the row minima
+        assert out.result.lower_bound == out.result.cost
+        assert [ln.pct_shipments for ln in out.report.lines] == [100.0, 0.0]
+
     def test_report_percentages_and_void(self, tiny):
         boxes, shipments = tiny
         rep = recommend(RunConfig(p=2, method="exact"), shipments, boxes).report
@@ -147,6 +165,17 @@ class TestRecommend:
             RunConfig(p=2, method="anneal")
         with pytest.raises(DataError):
             recommend(RunConfig(p=4, method="exact"), shipments, boxes)
+
+    def test_exact_budget_counts_undominated_boxes(self):
+        # cube k fits the cube orders up to k, so no cube dominates another;
+        # each k x k x (k+1) box fits what cube k fits, at a larger volume
+        boxes = BoxSet([CandidateBox(id=k, inner=Dims3(k, k, k)) for k in range(1, 28)]
+                       + [CandidateBox(id=100 + k, inner=Dims3(k, k, k + 1))
+                          for k in range(1, 4)])
+        shipments = [Shipment(id=k, cartons=(Carton(Dims3(k, k, k)),))
+                     for k in range(1, 28)]
+        with pytest.raises(DataError, match="27 of 30 candidate boxes"):
+            recommend(RunConfig(p=2, method="exact"), shipments, boxes)
 
     def test_outputs_written(self, tiny, tmp_path):
         boxes, shipments = tiny

@@ -15,6 +15,7 @@ from boxsuite.pmedian import (
     check_feasible,
     closest_two,
     collapse_rows,
+    drop_dominated_columns,
     dual_value,
     extract_assignment,
     greedy_construct,
@@ -382,6 +383,112 @@ class TestRowWeights:
     def test_invalid_weights_rejected(self, w):
         with pytest.raises(DataError):
             PMedianInstance(D_SMALL, p=1, w=np.array(w))
+
+
+def pipeline_shaped(rng):
+    """A cost matrix in the pipeline's shape and its locked columns.
+
+    Boxes and orders have random 2-D sizes; a box fits the orders it covers on
+    both sizes, plus about one random extra order per box, and costs its area
+    plus a small surcharge per box and per order on those rows. Some boxes
+    repeat another's sizes, so their columns are equal. Every other entry is
+    gamma, one more than the sum of the row maxima, and each locked box has
+    a row of gamma with its only zero in the locked column. A third of the
+    instances have more than 32 distinct rows, so the dominance test also
+    compares rows after its first chunk.
+    """
+    while True:
+        n = int(rng.integers(5, 80))
+        m = int(rng.integers(8, 16))
+        dims = rng.integers(1, 7, size=(m, 2))
+        copies = rng.integers(0, m, size=int(rng.integers(0, 4)))
+        dims[rng.integers(0, m, size=len(copies))] = dims[copies]
+        needs = rng.integers(1, 7, size=(n, 2))
+        fits = (dims[None, :, :] >= needs[:, None, :]).all(axis=2)
+        fits |= rng.random((n, m)) < 1.0 / n
+        fits = fits[fits.any(axis=1)]
+        if len(fits):
+            break
+    cost = (dims.prod(axis=1) + rng.integers(0, 3, size=m)
+            + rng.integers(0, 4, size=(len(fits), 1)))
+    d = np.where(fits, cost.astype(np.float64), np.nan)
+    gamma = float(np.nanmax(d, axis=1).sum()) + 1.0
+    locked = rng.choice(m, size=int(rng.integers(0, 3)), replace=False)
+    lock_rows = np.full((len(locked), m), gamma)
+    lock_rows[np.arange(len(locked)), locked] = 0.0
+    d = np.vstack((np.nan_to_num(d, nan=gamma), lock_rows))
+    p = int(rng.integers(len(locked) + 1, min(5, m)))
+    return collapse_rows(d, p)[0], locked
+
+
+def dominates(d, k, j):
+    return bool((d[:, k] <= d[:, j]).all())
+
+
+class TestColumnDominance:
+    """drop_dominated_columns on pipeline-shaped instances, against direct
+    column-by-column comparisons and the exact enumeration. Costs are
+    integers, so every total is exact and every column sum is distinct
+    unless the columns are ordered by dominance the other way."""
+
+    CASES = 120
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(self.CASES):
+            inst, locked = pipeline_shaped(rng)
+            yield inst, locked, *drop_dominated_columns(inst)
+
+    def test_optimum_and_mapped_suite_unchanged(self):
+        solved = 0
+        for inst, locked, reduced, kept in self._cases(61):
+            assert reduced.p == min(inst.p, len(kept))
+            if len(kept) <= inst.p:
+                row_min = (inst.d.min(axis=1) * inst.w).sum()
+                assert (inst.d[:, kept].min(axis=1) * inst.w).sum() == row_min
+                continue
+            ex = solve_exact(reduced)
+            assert ex.cost == solve_exact(inst).cost
+            mapped = Suite(kept[list(ex.suite.members)].tolist())
+            assert suite_cost(inst, mapped) == ex.cost
+            solved += 1
+        assert solved >= self.CASES // 2
+
+    def test_dropped_columns_dominated_by_kept_ones(self):
+        for inst, locked, _, kept in self._cases(67):
+            assert np.all(np.diff(kept) > 0)
+            assert set(locked.tolist()) <= set(kept.tolist())
+            dropped = np.setdiff1d(np.arange(inst.m), kept)
+            for j in dropped:
+                assert any(dominates(inst.d, k, j) for k in kept)
+            for j in kept:
+                assert not any(dominates(inst.d, k, j) for k in kept if k != j)
+                # of equal columns only the lowest index stays
+                assert not any(np.array_equal(inst.d[:, i], inst.d[:, j])
+                               for i in range(j))
+
+    def test_rows_collapsed_again_with_summed_weights(self):
+        for inst, _, reduced, kept in self._cases(71):
+            sub = inst.d[:, kept]
+            again, rows = collapse_rows(sub, reduced.p, inst.w)
+            assert np.array_equal(reduced.d, again.d)
+            assert np.array_equal(reduced.w, again.w)
+            assert np.array_equal(reduced.d[rows], sub)
+            assert reduced.w.sum() == inst.w.sum()
+
+    def test_reduction_fires_on_most_instances(self):
+        fired = 0
+        for inst, _, _, kept in self._cases(73):
+            distinct = len(np.unique(inst.d, axis=1).T)
+            fired += len(kept) < distinct
+        # dominated, not merely equal, columns dropped in at least 75%
+        assert fired >= 0.75 * self.CASES
+
+    def test_collapse_adds_the_weights_of_merged_rows(self):
+        d = np.array([[1.0, 2.0], [3.0, 0.0], [1.0, 2.0]])
+        inst, rows = collapse_rows(d, p=1, w=np.array([2.0, 1.0, 5.0]))
+        assert inst.w.tolist() == [7.0, 1.0]
+        assert rows.tolist() == [0, 1, 0]
 
 
 class TestGrasp:
