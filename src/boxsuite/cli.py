@@ -87,11 +87,30 @@ def _load_suite_file(path: str) -> tuple[list[int], list[CandidateBox], list[int
     if not isinstance(entries, list) or not entries:
         raise DataError(f"suite file {path} holds no suite")
     ids, defs = [], []
-    for e in entries:
-        ids.append(int(e["id"]))
-        defs.append(CandidateBox(id=int(e["id"]), inner=Dims3(*e["inner"])))
-    locked = [int(x) for x in payload.get("locked", [])]
+    for k, e in enumerate(entries):
+        fields = e if isinstance(e, dict) else {}
+        box_id, inner = fields.get("id"), fields.get("inner")
+        if not _is_int(box_id):
+            raise DataError(f"suite file {path}: entry {k} ({e!r}) needs an integer id")
+        if not (isinstance(inner, list) and len(inner) == 3
+                and all(_is_number(v) for v in inner)):
+            raise DataError(f"suite file {path}: entry {k} ({e!r}) needs inner "
+                            f"as three numbers")
+        ids.append(box_id)
+        defs.append(CandidateBox(id=box_id, inner=Dims3(*inner)))
+    locked = payload.get("locked", [])
+    if not (isinstance(locked, list) and all(map(_is_int, locked))):
+        raise DataError(f"suite file {path}: locked must be a list of integer ids, "
+                        f"got {locked!r}")
     return ids, defs, locked
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _parse_id_list(text: str) -> tuple[int, ...]:

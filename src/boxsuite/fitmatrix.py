@@ -2,9 +2,9 @@
 
 For each shipment the candidate boxes are visited in volume order starting at
 the first box that can hold the shipment's liquid volume. Decisions cascade
-from cheap to expensive: per-carton necessity, pair/triple pre-screens, the
-one-row stacking construction, and then an exact decision: the two/three-carton
-solvers, or the branch-and-bound solver. From four cartons on, the box is
+from cheap to expensive: per-carton necessity, the one-row stacking
+construction, and then an exact decision: the two/three-carton solvers, or
+the branch-and-bound solver. From four cartons on, the box is
 first cut to its normal-pattern size (``normal_pattern_box``: each axis to the
 longest sum of carton extents it holds), which never changes the verdict, and
 everything after the memo lookup sees the cut box; boxes that cut to the same
@@ -13,8 +13,8 @@ extent sums on an axis keep the declared box, which bounds the cut's cost.
 From five cartons on the search is preceded by a dual-feasible-function
 volume bound (``dff_refutes``) that proves most NO_FITs without search, and
 from six on also by an extreme-point packer
-(``pack_extreme_points``) that finds most FITs in milliseconds. The scan
-always enforces the height-oriented (HO) and bottom-resting (BR) rules. A
+(``pack_extreme_points``) that finds most FITs in milliseconds. Every
+carton's own height-oriented (HO) and bottom-resting (BR) flags apply. A
 packing from the packer, the exact solvers or the search counts only after
 ``check_witness`` accepts it in the declared box; an exact-solver or search
 packing that fails the check is an internal error.
@@ -540,23 +540,6 @@ class _ShipmentScanner:
                 f"{[c.dims.as_tuple() for c in declared.cartons]}")
         return verdict.outcome
 
-    def _prescreens_pass(self, cartons, box_dims, pinned) -> bool:
-        # Pairs and triples are necessary conditions; both go through the
-        # exact small solver (memoized).
-        n = len(cartons)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self._cached_verdict((cartons[a], cartons[b]), box_dims,
-                                        pinned) is not Outcome.FIT:
-                    return False
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    if self._cached_verdict((cartons[a], cartons[b], cartons[c]),
-                                            box_dims, pinned) is not Outcome.FIT:
-                        return False
-        return True
-
     def scan(self, shipment: Shipment) -> tuple[bytearray, list[tuple[int, int]]]:
         """The shipment's row as one byte per box (1 = fits) and its timeouts."""
         boxes, nests = self.boxes, self.nests
@@ -569,9 +552,7 @@ class _ShipmentScanner:
         cartons = shipment.cartons
         n = len(cartons)
         keys = [carton_key(c) for c in cartons]
-        ho_count = sum(1 for ho, _, _ in keys if ho)
-        br_count = sum(1 for _, _, br in keys if br)
-        pinned = ho_count > 0 or br_count > 0
+        pinned = any(ho or br for ho, _, br in keys)
         closure = nests.ho if pinned else nests.free
 
         # Vectorized per-carton necessity over all boxes at once.
@@ -592,10 +573,8 @@ class _ShipmentScanner:
                 for k in closure[j]:
                     row[k] = 1
                 continue
-            if n >= 4 and not self._prescreens_pass(cartons, box_dims, pinned):
-                continue
             lw_box = Dims3(*_box_key(box_dims, True))
-            if fits_stacking(cartons, lw_box, ho_count, br_count):
+            if fits_stacking(cartons, lw_box):
                 for k in closure[j]:
                     row[k] = 1
                 continue

@@ -16,6 +16,10 @@ Layered from cheap to complete:
   cross-checking (exponential, keep n small);
 - :func:`check_witness` validates a claimed packing against the box and the
   orientation/floor constraints.
+
+Every function reads each carton's own ``height_oriented`` and
+``bottom_resting`` flags; there is no switch to ignore them. A caller that
+wants a carton free of a rule builds it without the flag.
 """
 from boxsuite.fitting.checks import (
     dff_refutes,

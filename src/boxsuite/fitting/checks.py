@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-def fits_single(carton: Carton, box: Dims3, ho: Optional[bool] = None, eps: Optional[float] = None) -> bool:
+def fits_single(carton: Carton, box: Dims3) -> bool:
     """Exact single-carton fit test.
 
     Free cartons fit iff their sorted dims fit the sorted box dims
@@ -28,12 +28,9 @@ def fits_single(carton: Carton, box: Dims3, ho: Optional[bool] = None, eps: Opti
     vertical, so only length/width may rotate. ``box.c`` must be the true
     vertical dimension when the carton is height-oriented.
     """
-    if eps is None:
-        eps = tolerance_for(box)
-    if ho is None:
-        ho = carton.height_oriented
+    eps = tolerance_for(box)
     p, q, r = carton.dims.as_tuple()
-    if ho:
+    if carton.height_oriented:
         cl, cw = (p, q) if p >= q else (q, p)
         bl, bw = (box.a, box.b) if box.a >= box.b else (box.b, box.a)
         return cl <= bl + eps and cw <= bw + eps and r <= box.c + eps
@@ -42,16 +39,16 @@ def fits_single(carton: Carton, box: Dims3, ho: Optional[bool] = None, eps: Opti
     return all(cs[i] <= bs[i] + eps for i in range(3))
 
 
-def _pinned(carton: Carton, enforce_ho: bool, enforce_br: bool) -> bool:
+def _pinned(carton: Carton) -> bool:
     # A pinned carton may only rotate about the vertical axis: height-oriented
     # by definition, bottom-resting conservatively (a floor carton could
     # tip over in principle, but the one-row constructions below keep every
     # carton's given height vertical, matching the HO treatment).
-    return (enforce_ho and carton.height_oriented) or (enforce_br and carton.bottom_resting)
+    return carton.height_oriented or carton.bottom_resting
 
 
 def _aggregate_sorted_dims(
-    cartons: Sequence[Carton], enforce_ho: bool, enforce_br: bool,
+    cartons: Sequence[Carton],
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Componentwise sums and maxima of the cartons' effective sorted dims.
 
@@ -63,7 +60,7 @@ def _aggregate_sorted_dims(
     eff = []
     for c in cartons:
         p, q, r = c.dims.as_tuple()
-        if _pinned(c, enforce_ho, enforce_br):
+        if _pinned(c):
             eff.append(((p, q, r) if p >= q else (q, p, r)))
         else:
             eff.append(tuple(sorted((p, q, r), reverse=True)))
@@ -72,24 +69,14 @@ def _aggregate_sorted_dims(
     return sums, maxs  # type: ignore[return-value]
 
 
-def necessary_condition(
-    cartons: Sequence[Carton],
-    box_sorted_dims: Dims3,
-    enforce_ho: bool = True,
-    eps: Optional[float] = None,
-) -> bool:
+def necessary_condition(cartons: Sequence[Carton], box_sorted_dims: Dims3) -> bool:
     """Every carton individually fits the box; failure proves no packing exists.
 
     ``box_sorted_dims.c`` must be the true vertical dimension; the other two
     components may be in any order. Bottom-resting restricts position, not
     orientation, so it plays no role here.
     """
-    if eps is None:
-        eps = tolerance_for(box_sorted_dims)
-    return all(
-        fits_single(c, box_sorted_dims, ho=enforce_ho and c.height_oriented, eps=eps)
-        for c in cartons
-    )
+    return all(fits_single(c, box_sorted_dims) for c in cartons)
 
 
 _DFF_TOL = 1e-9
@@ -141,7 +128,7 @@ def dff_refutes(problem: FitProblem) -> bool:
     """
     slack = (problem.n + 1) * problem.eps
     lengths = tuple(v + slack for v in problem.box.as_tuple())
-    groups = Counter(orientation_extents(c, problem.enforce_ho) for c in problem.cartons)
+    groups = Counter(orientation_extents(c) for c in problem.cartons)
     usable = []
     for opts in groups:
         ok = [o for o in opts if o[0] <= lengths[0] and o[1] <= lengths[1]
@@ -226,16 +213,7 @@ def normal_pattern_box(problem: FitProblem,
     return Dims3(*cut)
 
 
-def fits_stacking(
-    cartons: Sequence[Carton],
-    box_sorted_dims: Dims3,
-    ho_count: Optional[int] = None,
-    br_count: Optional[int] = None,
-    *,
-    enforce_ho: bool = True,
-    enforce_br: bool = True,
-    eps: Optional[float] = None,
-) -> bool:
+def fits_stacking(cartons: Sequence[Carton], box_sorted_dims: Dims3) -> bool:
     """Sufficient fit test: line the cartons up along a single axis.
 
     The one-row constructions keep every pinned carton's height vertical, so
@@ -246,18 +224,12 @@ def fits_stacking(
 
     A length or width row leaves every carton on the floor. A height stack
     elevates all cartons but the bottom one, so it is only allowed with at
-    most one bottom-resting carton (that carton takes the floor slot). With
-    enforce_br off, bottom-resting flags are ignored.
+    most one bottom-resting carton (that carton takes the floor slot).
     """
-    if eps is None:
-        eps = tolerance_for(box_sorted_dims)
-    if br_count is None or not enforce_br:
-        br_count = sum(1 for c in cartons if c.bottom_resting) if enforce_br else 0
-    if ho_count is None or not enforce_ho:
-        ho_count = sum(1 for c in cartons if c.height_oriented) if enforce_ho else 0
-
-    sums, maxs = _aggregate_sorted_dims(cartons, enforce_ho, enforce_br)
-    if ho_count > 0 or br_count > 0:
+    eps = tolerance_for(box_sorted_dims)
+    br_count = sum(1 for c in cartons if c.bottom_resting)
+    sums, maxs = _aggregate_sorted_dims(cartons)
+    if any(_pinned(c) for c in cartons):
         bl, bw = (box_sorted_dims.a, box_sorted_dims.b)
         if bw > bl:
             bl, bw = bw, bl

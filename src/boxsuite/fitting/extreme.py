@@ -43,14 +43,14 @@ def pack_extreme_points(problem: FitProblem) -> Optional[tuple[Placement, ...]]:
     cartons = problem.cartons
     options = []
     for c in cartons:
-        opts = [e for e in orientation_extents(c, problem.enforce_ho)
+        opts = [e for e in orientation_extents(c)
                 if e[0] <= box[0] + eps and e[1] <= box[1] + eps and e[2] <= box[2] + eps]
         if not opts:
             return None
         options.append(opts)
     if sum(c.dims.volume for c in cartons) > box[0] * box[1] * box[2] + eps:
         return None
-    floor = [problem.enforce_br and c.bottom_resting for c in cartons]
+    floor = [c.bottom_resting for c in cartons]
     for prefer in _PREFERENCES:
         ranked = [sorted(opts, key=prefer) for opts in options]
         for order in _orders(problem, floor):

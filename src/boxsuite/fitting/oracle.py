@@ -32,7 +32,7 @@ def canonical_search(problem: FitProblem) -> FitVerdict:
     for c in cartons:
         opts = [
             e
-            for e in orientation_extents(c, problem.enforce_ho)
+            for e in orientation_extents(c)
             if all(e[a] <= box[a] + eps for a in range(3))
         ]
         if not opts:
@@ -45,7 +45,7 @@ def canonical_search(problem: FitProblem) -> FitVerdict:
 
     # Place larger cartons first: they constrain the layout most.
     order = sorted(range(n), key=lambda i: (-cartons[i].dims.volume, i))
-    br = [problem.enforce_br and cartons[i].bottom_resting for i in range(n)]
+    br = [cartons[i].bottom_resting for i in range(n)]
 
     ext: list[Optional[tuple[float, float, float]]] = [None] * n
     origin: list[Optional[tuple[float, float, float]]] = [None] * n

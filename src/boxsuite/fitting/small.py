@@ -30,13 +30,12 @@ def _fits_two(problem: FitProblem) -> FitVerdict:
     eps = problem.eps
     box = problem.box.as_tuple()
     c0, c1 = problem.cartons
-    br0 = problem.enforce_br and c0.bottom_resting
-    br1 = problem.enforce_br and c1.bottom_resting
+    br0, br1 = c0.bottom_resting, c1.bottom_resting
     nodes = 0
-    for e0 in orientation_extents(c0, problem.enforce_ho):
+    for e0 in orientation_extents(c0):
         if not all(e0[a] <= box[a] + eps for a in range(3)):
             continue
-        for e1 in orientation_extents(c1, problem.enforce_ho):
+        for e1 in orientation_extents(c1):
             if not all(e1[a] <= box[a] + eps for a in range(3)):
                 continue
             for axis in range(3):

@@ -14,9 +14,9 @@ without affecting feasibility:
   - identical cartons (same dims multiset and same constraint flags) are
     grouped consecutively and forced into nondecreasing x order;
   - the anchor carton (smallest volume, first of its identical group) is
-    confined to the lower-left-bottom half-intervals of the box. When
-    bottom-resting enforcement is active the z half-interval restriction is
-    dropped (floor constraints break the reflection argument).
+    confined to the lower-left halves of the box's two horizontal axes.
+    The vertical axis is left whole: floor constraints break the
+    reflection argument there.
 
 One root reduction drops orientations before the search
 (``_drop_dominated_orientations``; the kind used by Fekete, Schepers & van
@@ -115,7 +115,7 @@ class _Search:
         n = prob.n
 
         # Group identical cartons consecutively (stable within each group).
-        key_of = [carton_key(c, prob.enforce_ho, prob.enforce_br) for c in prob.cartons]
+        key_of = [carton_key(c) for c in prob.cartons]
         first_seen: dict = {}
         for key in key_of:
             first_seen.setdefault(key, len(first_seen))
@@ -125,7 +125,7 @@ class _Search:
 
         options = []
         for c in cartons:
-            opts = [e for e in orientation_extents(c, prob.enforce_ho)
+            opts = [e for e in orientation_extents(c)
                     if all(e[a] <= box[a] + eps for a in range(3))]
             if not opts:
                 return self._verdict(Outcome.NO_FIT)
@@ -157,7 +157,7 @@ class _Search:
         hi = [[box[a] - min_ext[i][a] for i in range(n)] for a in range(3)]
 
         for i, c in enumerate(cartons):
-            if prob.enforce_br and c.bottom_resting:
+            if c.bottom_resting:
                 hi[2][i] = min(hi[2][i], 0.0)
 
         # Anchor: smallest volume, ties to the lowest index; groups are
@@ -165,8 +165,7 @@ class _Search:
         if self.cfg.use_orthant_symmetry:
             beta = min(range(n), key=lambda i: (cartons[i].dims.volume, i))
             beta = next(w for w in range(n) if keys[w] == keys[beta])
-            clamp_axes = (0, 1) if prob.enforce_br else (0, 1, 2)
-            for a in clamp_axes:
+            for a in (0, 1):
                 hi[a][beta] = min(hi[a][beta], box[a] / 2.0)
 
         # Persistent zero-weight edges x_m <= x_{m+1} between consecutive

@@ -31,14 +31,13 @@ class FitProblem:
     """Can these cartons be packed into this box?
 
     ``box`` dims are taken as given (unsorted); the third component is the
-    vertical axis, which matters when height-oriented or bottom-resting
-    constraints are enforced.
+    vertical axis. Every carton's own flags apply: a height-oriented carton
+    keeps its height vertical, a bottom-resting one stands on the floor. A
+    carton built without a flag is free of that rule.
     """
 
     cartons: tuple[Carton, ...]
     box: Dims3
-    enforce_ho: bool = True
-    enforce_br: bool = True
 
     def __post_init__(self) -> None:
         if len(self.cartons) < 1:
@@ -51,12 +50,6 @@ class FitProblem:
     @property
     def eps(self) -> float:
         return tolerance_for(self.box)
-
-    def has_ho(self) -> bool:
-        return self.enforce_ho and any(c.height_oriented for c in self.cartons)
-
-    def has_br(self) -> bool:
-        return self.enforce_br and any(c.bottom_resting for c in self.cartons)
 
 
 @dataclass(frozen=True)
@@ -102,23 +95,22 @@ class SolverConfig:
             raise DataError("time_limit must be positive")
 
 
-def orientation_extents(carton: Carton, enforce_ho: bool = True) -> tuple[tuple[float, float, float], ...]:
+def orientation_extents(carton: Carton) -> tuple[tuple[float, float, float], ...]:
     """Allowed axis-extent triples for a carton (deduplicated, deterministic order).
 
     A free carton may use all 6 axis permutations; a height-oriented carton only
     the 2 that keep its height component vertical.
     """
     p, q, r = carton.dims.as_tuple()
-    if enforce_ho and carton.height_oriented:
+    if carton.height_oriented:
         opts = {(p, q, r), (q, p, r)}
     else:
         opts = set(permutations((p, q, r)))
     return tuple(sorted(opts))
 
 
-def carton_key(carton: Carton, enforce_ho: bool = True,
-               enforce_br: bool = True) -> tuple[bool, tuple[float, float, float], bool]:
-    """Canonical identity of a carton under the active HO/BR rules.
+def carton_key(carton: Carton) -> tuple[bool, tuple[float, float, float], bool]:
+    """Canonical identity of a carton under its HO/BR flags.
 
     Returns (height pinned, dims, bottom resting). A height-oriented carton
     sorts only length/width nonincreasing and keeps its height third; a free
@@ -126,17 +118,16 @@ def carton_key(carton: Carton, enforce_ho: bool = True,
     interchangeable in every fit problem.
     """
     p, q, r = carton.dims.as_tuple()
-    br = bool(enforce_br and carton.bottom_resting)
-    if enforce_ho and carton.height_oriented:
+    br = bool(carton.bottom_resting)
+    if carton.height_oriented:
         return (True, (p, q, r) if p >= q else (q, p, r), br)
     a, b, c = sorted((p, q, r), reverse=True)
     return (False, (a, b, c), br)
 
 
-def check_witness(problem: FitProblem, witness: Sequence[Placement], eps: Optional[float] = None) -> bool:
-    """Independent re-check of a claimed packing against every active constraint."""
-    if eps is None:
-        eps = problem.eps
+def check_witness(problem: FitProblem, witness: Sequence[Placement]) -> bool:
+    """Independent re-check of a claimed packing against every constraint."""
+    eps = problem.eps
     if len(witness) != problem.n:
         return False
     if sorted(pl.carton for pl in witness) != list(range(problem.n)):
@@ -144,9 +135,9 @@ def check_witness(problem: FitProblem, witness: Sequence[Placement], eps: Option
     box = problem.box.as_tuple()
     for pl in witness:
         carton = problem.cartons[pl.carton]
-        if pl.extents not in orientation_extents(carton, problem.enforce_ho):
+        if pl.extents not in orientation_extents(carton):
             return False
-        if problem.enforce_br and carton.bottom_resting and abs(pl.origin[2]) > eps:
+        if carton.bottom_resting and abs(pl.origin[2]) > eps:
             return False
         for axis in range(3):
             if pl.origin[axis] < -eps:

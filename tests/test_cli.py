@@ -55,7 +55,7 @@ class TestFit:
         assert manifest["timeouts"] == []
 
     def test_forced_timeout_recorded_with_bit_clear(self, tmp_path):
-        # passes the prescreens, the box cut, the volume bound and the
+        # passes the screens, the box cut, the volume bound and the
         # packer, and its search is still open after 5 s and about 665,000
         # branch-and-bound nodes, so 1 ms always runs out
         cartons = (Carton(Dims3(5, 3, 4)),) * 6 + (Carton(Dims3(4, 1, 1)),)
@@ -110,7 +110,7 @@ class TestFit:
     @pytest.mark.parametrize("solver, cartons", [
         # two cartons no one-row stack holds reach the exact 2/3-carton solver
         ("fits_exact_small", [(3, 3, 2)] * 2),
-        # four cubes pass every pair/triple prescreen and reach the search
+        # four cubes no one-row stack holds reach the search
         ("solve_fit", [(2, 2, 2)] * 4),
     ])
     def test_bogus_witness_exits_3(self, tmp_path, monkeypatch, capsys, solver, cartons):
@@ -298,6 +298,31 @@ class TestOtherCommands:
         (tmp, bpath, spath), suite = recommended
         rc = main(["fitone", "--shipment", spath, "--suite", str(suite)])
         assert rc == 2
+
+    @pytest.mark.parametrize("entry, named", [
+        ({"id": 1}, "needs inner"),
+        ({"inner": [4, 3, 2]}, "needs an integer id"),
+        ({"id": 1, "inner": [4, 3]}, "needs inner"),
+    ])
+    def test_fitone_rejects_a_malformed_suite_entry(self, tmp_path, capsys, entry, named):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"suite": [entry]}))
+        one = tmp_path / "one.csv"
+        save_shipments([Shipment(id=99, cartons=(Carton(Dims3(3, 2, 1)),))], one)
+        rc = main(["fitone", "--shipment", str(one), "--suite", str(suite)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(suite) in err and "entry 0" in err and named in err
+
+    def test_finetune_rejects_malformed_locks(self, recommended, capsys):
+        (tmp, bpath, spath), suite = recommended
+        payload = json.loads(suite.read_text())
+        payload["locked"] = "1"
+        suite.write_text(json.dumps(payload))
+        rc = main(["finetune", "--suite", str(suite), "--boxes", bpath,
+                   "--deltas=0", "--out", str(tmp / "tuned.csv")])
+        assert rc == 2
+        assert "locked" in capsys.readouterr().err
 
 
 class TestParser:

@@ -165,13 +165,26 @@ def test_scan_is_deterministic():
     assert mat1.rows == mat2.rows
 
 
-def test_prescreens_do_not_change_rows(monkeypatch):
-    boxes, ships = _random_world(56)
-    on, _ = compute_fit_matrix(ships, boxes)
-    monkeypatch.setattr(fitmatrix._ShipmentScanner, "_prescreens_pass",
-                        lambda self, cartons, box_dims, pinned: True)
-    off, _ = compute_fit_matrix(ships, boxes)
-    assert on.rows == off.rows
+def test_exact_small_solver_sees_only_two_and_three_carton_orders(monkeypatch):
+    # Orders of four or more cartons go from the screens to the box cut and
+    # the search; no pair or triple of their cartons is solved on its own.
+    boxes, ships = _random_world(56, n_ships=30)
+    calls = {"exact": [], "search": []}
+
+    def counting(name, fn):
+        def wrapped(prob, *args):
+            calls[name].append(prob.n)
+            return fn(prob, *args)
+        return wrapped
+
+    monkeypatch.setattr(fitmatrix, "fits_exact_small",
+                        counting("exact", fitmatrix.fits_exact_small))
+    monkeypatch.setattr(fitmatrix, "solve_fit", counting("search", fitmatrix.solve_fit))
+    compute_fit_matrix([s for s in ships if len(s.cartons) >= 4], boxes)
+    assert calls["exact"] == []
+    assert calls["search"] and min(calls["search"]) >= 4
+    compute_fit_matrix([s for s in ships if len(s.cartons) in (2, 3)], boxes)
+    assert calls["exact"] and set(calls["exact"]) <= {2, 3}
 
 
 def test_parallel_scan_matches_sequential():

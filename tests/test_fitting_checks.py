@@ -43,12 +43,6 @@ def test_single_height_oriented():
     assert fits_single(tall, Dims3(1, 1, 3))
 
 
-def test_single_ho_override_argument():
-    carton = Carton(Dims3(1, 1, 3))
-    assert fits_single(carton, Dims3(3, 3, 1))
-    assert not fits_single(carton, Dims3(3, 3, 1), ho=True)
-
-
 def test_stacking_free_row():
     # Two 4x2x2 cartons side by side across the 4-wide axis.
     assert fits_stacking([Carton(Dims3(4, 2, 2))] * 2, Dims3(4, 4, 2))
@@ -64,7 +58,7 @@ def test_stacking_bottom_resting_blocks_height_stack():
     # Only a vertical stack would fit, but both cartons demand the floor.
     two = [Carton(Dims3(1, 1, 2), bottom_resting=True)] * 2
     assert not fits_stacking(two, Dims3(1, 1, 4))
-    assert fits_stacking(two, Dims3(1, 1, 4), enforce_br=False)
+    assert fits_stacking([Carton(Dims3(1, 1, 2))] * 2, Dims3(1, 1, 4))
 
 
 def test_stacking_single_bottom_resting_takes_floor_slot():
@@ -227,7 +221,7 @@ def test_dff_screen_does_not_change_scan_rows(monkeypatch):
 
 
 def _cut(prob):
-    keys = sorted(carton_key(c, prob.enforce_ho) for c in prob.cartons)
+    keys = sorted(map(carton_key, prob.cartons))
     sums = extent_sums(keys, max(prob.box.as_tuple()) + (prob.n + 1) * prob.eps)
     return normal_pattern_box(prob, sums)
 
@@ -239,7 +233,8 @@ def test_cut_examples():
     posts = (Carton(Dims3(4, 3, 2), height_oriented=True),) * 2
     assert _cut(FitProblem(posts, Dims3(9, 9, 9))) == Dims3(8, 8, 4)
     assert _cut(FitProblem(posts, Dims3(9, 9, 1))) is None
-    assert _cut(FitProblem(posts, Dims3(9, 9, 9), enforce_ho=False)) == Dims3(8, 8, 8)
+    free_posts = (Carton(Dims3(4, 3, 2)),) * 2
+    assert _cut(FitProblem(free_posts, Dims3(9, 9, 9))) == Dims3(8, 8, 8)
 
 
 @given(prob=scaled_problems())

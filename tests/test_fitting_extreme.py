@@ -29,13 +29,11 @@ cartons_st = st.lists(
     min_size=1, max_size=4)
 
 
-@given(cartons=cartons_st, box=st.tuples(*[st.integers(1, 7)] * 3),
-       ho=st.booleans(), br=st.booleans())
+@given(cartons=cartons_st, box=st.tuples(*[st.integers(1, 7)] * 3))
 @settings(max_examples=150, deadline=None)
-def test_witnesses_pass_the_check_and_the_oracle(cartons, box, ho, br):
+def test_witnesses_pass_the_check_and_the_oracle(cartons, box):
     prob = FitProblem(tuple(Carton(Dims3(*d), height_oriented=h, bottom_resting=b)
-                            for d, h, b in cartons), Dims3(*box),
-                      enforce_ho=ho, enforce_br=br)
+                            for d, h, b in cartons), Dims3(*box))
     witness = pack_extreme_points(prob)
     if witness is not None:
         assert check_witness(prob, witness)

@@ -115,8 +115,7 @@ def test_monotone_in_box_size():
         bigger = Dims3(prob.box.a + rng.randint(0, 2),
                        prob.box.b + rng.randint(0, 2),
                        prob.box.c + rng.randint(0, 2))
-        grown = FitProblem(prob.cartons, bigger,
-                           enforce_ho=prob.enforce_ho, enforce_br=prob.enforce_br)
+        grown = FitProblem(prob.cartons, bigger)
         assert solve_fit(grown, GENEROUS).is_fit
 
 
