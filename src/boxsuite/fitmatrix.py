@@ -1,10 +1,11 @@
 """Shipment-to-box feasibility scan producing the sparse fit matrix.
 
-For each shipment the candidate boxes are visited in volume order starting at
-the first box that can hold the shipment's liquid volume. Decisions cascade
-from cheap to expensive: per-carton necessity, the one-row stacking
-construction, and then an exact decision: the two/three-carton solvers, or
-the branch-and-bound solver. From four cartons on, the box is
+For each shipment of two or more cartons the candidate boxes are visited in
+volume order starting at the first box that can hold the shipment's liquid
+volume. Decisions cascade from cheap to expensive: per-carton necessity, the
+one-row stacking construction, and then an exact decision: the closed-form
+two-carton solver, or from three cartons on the branch-and-bound solver.
+From four cartons on, the box is
 first cut to its normal-pattern size (``normal_pattern_box``: each axis to the
 longest sum of carton extents it holds), which never changes the verdict, and
 everything after the memo lookup sees the cut box; boxes that cut to the same
@@ -18,16 +19,23 @@ carton's own height-oriented (HO) and bottom-resting (BR) flags apply. A
 packing from the packer, the exact solvers or the search counts only after
 ``check_witness`` accepts it in the declared box; an exact-solver or search
 packing that fails the check is an internal error.
-Every positive verdict is propagated to all boxes the current box nests
-into, which both skips work and keeps rows closed under nesting.
+Nesting is held as two boolean box-by-box matrices (``NestSets``). A FIT
+ORs the box's row of the matrix into the shipment's row, which skips work
+and keeps rows closed under nesting wherever box dims differ by more than
+the tolerance (within it nesting is not transitive, and a box set by another
+box's row adds no row of its own). Single-carton shipments visit no
+box one at a time: for one carton necessity is the exact test, so a block of
+such shipments gets its rows, the test above the volume cut plus its
+nesting closure, from a few array operations.
 
-A scanned row is one byte per box. Rows are packed a block of shipments at a
-time into the matrix's CSR form, which every later layer reads and writes
-without a Python object per set bit: ``indptr`` (int64, one entry per
-shipment plus one) and ``indices`` (int32 box indices, each row's slice
-sorted and unique). fit.csv holds one ``shipment_id,box_id`` line per set
-bit; its manifest records counts, the scan-config hash, timed-out pairs and
-digests of the boxes and shipments, which ``load_fit_matrix`` checks.
+Rows are scanned a block of shipments at a time, as a boolean matrix with a
+column per box, and packed into the matrix's CSR form, which every later
+layer reads and writes without a Python object per set bit: ``indptr``
+(int64, one entry per shipment plus one) and ``indices`` (int32 box indices,
+each row's slice sorted and unique). fit.csv holds one ``shipment_id,box_id``
+line per set bit; its manifest records counts, the scan-config hash,
+timed-out pairs and digests of the boxes and shipments, which
+``load_fit_matrix`` checks.
 """
 from __future__ import annotations
 
@@ -36,12 +44,11 @@ import functools
 import hashlib
 import itertools
 import json
-from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -81,31 +88,68 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NestSets:
-    """Per-box lists of boxes it nests into; each list begins with the box itself.
+    """Which boxes each box nests into, as two J x J boolean matrices.
 
-    ``free`` allows all six rotations; ``ho`` only the two that keep height
-    vertical, so it is the family to use whenever a shipment pins the vertical
-    axis.
+    ``up_free[j, k]`` holds when box j fits inside box k with all six
+    rotations allowed, ``up_ho[j, k]`` when it does with height kept vertical,
+    so ``up_ho`` is the family to use whenever a shipment pins the vertical
+    axis. Only later (equal or larger volume) boxes count, so both matrices
+    are upper triangular with a true diagonal.
+
+    ``free[j]`` and ``ho[j]`` give row j as the tuple of those box indices,
+    beginning with j itself, built on each access.
     """
 
-    free: tuple[tuple[int, ...], ...]
-    ho: tuple[tuple[int, ...], ...]
+    up_free: np.ndarray
+    up_ho: np.ndarray
+
+    @property
+    def free(self) -> Sequence[tuple[int, ...]]:
+        return _NestRows(self.up_free)
+
+    @property
+    def ho(self) -> Sequence[tuple[int, ...]]:
+        return _NestRows(self.up_ho)
+
+
+class _NestRows(Sequence):
+    def __init__(self, up: np.ndarray):
+        self._up = up
+
+    def __len__(self) -> int:
+        return len(self._up)
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self._up[j]).tolist())
+
+
+_NEST_BLOCK = 256  # matrix rows compared per numpy call
 
 
 def compute_nest_sets(boxes: BoxSet) -> NestSets:
     eps = 1e-9 * float(boxes.dims.max())
-    sd = boxes.sorted_dims
-    lw = boxes.sorted_lw_dims
-    free = []
-    ho = []
-    for j in range(len(boxes)):
-        # Only later (equal or larger volume) boxes can host this one.
-        tail = np.arange(j + 1, len(boxes))
-        free_mask = np.all(sd[j + 1:] >= sd[j] - eps, axis=1) if tail.size else np.zeros(0, bool)
-        ho_mask = np.all(lw[j + 1:] >= lw[j] - eps, axis=1) if tail.size else np.zeros(0, bool)
-        free.append((j, *tail[free_mask]))
-        ho.append((j, *tail[ho_mask]))
-    return NestSets(free=tuple(free), ho=tuple(ho))
+    J = len(boxes)
+
+    def up(view: np.ndarray) -> np.ndarray:
+        mat = np.zeros((J, J), dtype=bool)
+        for a in range(0, J, _NEST_BLOCK):
+            b = min(a + _NEST_BLOCK, J)
+            block = mat[a:b, a:]
+            block[:] = _covers(view[a:], view[a:b], eps)
+            block[:, :b - a] &= ~np.tri(b - a, k=-1, dtype=bool)  # k >= j only
+        return mat
+
+    return NestSets(up_free=up(boxes.sorted_dims), up_ho=up(boxes.sorted_lw_dims))
+
+
+def _covers(view: np.ndarray, dims: np.ndarray, eps: float) -> np.ndarray:
+    """(len(dims), len(view)) mask: every dim of view row k is at least the
+    same dim of ``dims`` row i, less ``eps``."""
+    low = dims - eps
+    out = view[:, 0] >= low[:, 0, None]
+    for axis in (1, 2):
+        out &= view[:, axis] >= low[:, axis, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -466,7 +510,7 @@ def _box_key(box_dims: tuple[float, float, float], pinned: bool):
 
 
 class _ShipmentScanner:
-    """Scans one shipment across all boxes; memoizes solved subproblems."""
+    """Scans blocks of shipments across all boxes; memoizes solved subproblems."""
 
     def __init__(self, boxes: BoxSet, nests: NestSets, cfg: FitScanConfig):
         self.boxes = boxes
@@ -477,6 +521,7 @@ class _ShipmentScanner:
         # plus the widest tolerance any box allows (None: too many to cut)
         self.sums: dict = {}
         self._longest = float(boxes.dims.max())
+        # also the necessity tolerance, as of nesting
         self._longest_eps = tolerance_for(Dims3(*(self._longest,) * 3))
 
     def _cached_verdict(self, cartons: tuple[Carton, ...], box_dims, pinned: bool) -> Outcome:
@@ -529,8 +574,8 @@ class _ShipmentScanner:
             witness = pack_extreme_points(prob)
             if witness is not None and check_witness(declared, witness):
                 return Outcome.FIT
-        if n in (2, 3):
-            verdict, solver = fits_exact_small(prob), "exact 2/3-carton"
+        if n == 2:
+            verdict, solver = fits_exact_small(prob), "exact 2-carton"
         else:
             verdict, solver = solve_fit(prob, self.cfg.solver), "branch-and-bound"
         if verdict.is_fit and not check_witness(declared, verdict.witness):
@@ -540,57 +585,108 @@ class _ShipmentScanner:
                 f"{[c.dims.as_tuple() for c in declared.cartons]}")
         return verdict.outcome
 
-    def scan(self, shipment: Shipment) -> tuple[bytearray, list[tuple[int, int]]]:
-        """The shipment's row as one byte per box (1 = fits) and its timeouts."""
-        boxes, nests = self.boxes, self.nests
-        J = len(boxes)
-        j0 = bisect_left(boxes.volumes, liquid_volume(shipment))
-        row = bytearray(J)
-        timeouts: list[tuple[int, int]] = []
-        if j0 >= J:
-            return row, timeouts
+    def scan_block(self, shipments: Sequence[Shipment]
+                   ) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
+        """The shipments' rows as a bool matrix (True = fits), one column per
+        box, and each row's timeouts."""
+        rows = np.zeros((len(shipments), len(self.boxes)), dtype=bool)
+        timeouts: list[list[tuple[int, int]]] = [[] for _ in shipments]
+        j0 = np.searchsorted(self.boxes.volumes, [liquid_volume(s) for s in shipments])
+        single = [i for i, s in enumerate(shipments) if len(s.cartons) == 1]
+        if single:
+            rows[single] = self._single_rows(
+                [shipments[i].cartons[0] for i in single], j0[single])
+        for i, shipment in enumerate(shipments):
+            if len(shipment.cartons) > 1:
+                timeouts[i] = self._scan(shipment, int(j0[i]), rows[i])
+        return rows, timeouts
+
+    def _single_rows(self, cartons: Sequence[Carton], j0: np.ndarray) -> np.ndarray:
+        """Rows of single-carton shipments, all at once.
+
+        For one carton, necessity is the exact fit test, so every box at or
+        above the volume cut that passes it fits. Closing those under nesting
+        adds box k only when k nests some such box j, so k's dims are at
+        least j's less eps, which are at least the carton's less 2 eps (for
+        ``up_ho`` too: LW-sorted dominance implies sorted dominance). Rows
+        with a box in that margin outside the fit test get the per-box
+        closure fill; the margin is 3 eps, the last one for rounding.
+        """
+        boxes, eps = self.boxes, self._longest_eps
+        keys = [carton_key(c) for c in cartons]
+        ho = np.array([k[0] for k in keys])
+        dims = np.array([k[1] for k in keys], dtype=np.float64)
+        nec = np.empty((len(keys), len(boxes)), dtype=bool)
+        margin = np.empty_like(nec)
+        for is_ho, view in ((False, boxes.sorted_dims), (True, boxes.sorted_lw_dims)):
+            sel = np.flatnonzero(ho == is_ho)
+            nec[sel] = _covers(view, dims[sel], eps)
+            margin[sel] = _covers(view, dims[sel], 3 * eps)
+        above = np.arange(len(boxes)) >= j0[:, None]
+        rows = nec & above
+        margin &= above & ~nec
+        for i in np.flatnonzero(margin.any(axis=1)).tolist():
+            ho_i, _, br_i = keys[i]
+            up = self.nests.up_ho if ho_i or br_i else self.nests.up_free
+            row = np.zeros(len(boxes), dtype=bool)
+            for j in np.flatnonzero(rows[i]).tolist():
+                if not row[j]:
+                    row |= up[j]
+            rows[i] = row
+        return rows
+
+    def _scan(self, shipment: Shipment, j0: int, row: np.ndarray) -> list[tuple[int, int]]:
+        """Fill ``row`` for a shipment of two or more cartons, visiting boxes
+        from ``j0`` up; returns its timeouts."""
+        boxes = self.boxes
         cartons = shipment.cartons
-        n = len(cartons)
         keys = [carton_key(c) for c in cartons]
         pinned = any(ho or br for ho, _, br in keys)
-        closure = nests.ho if pinned else nests.free
+        up = self.nests.up_ho if pinned else self.nests.up_free
 
         # Vectorized per-carton necessity over all boxes at once.
-        nec = np.ones(J, dtype=bool)
-        eps = 1e-9 * float(boxes.dims.max())
+        nec = np.ones(len(boxes), dtype=bool)
         for ho, view in ((False, boxes.sorted_dims), (True, boxes.sorted_lw_dims)):
             dims = [d for h, d, _ in keys if h == ho]
             if dims:
-                nec &= np.all(view >= np.max(np.array(dims), axis=0) - eps, axis=1)
+                nec &= _covers(view, np.max(np.array(dims), axis=0, keepdims=True),
+                               self._longest_eps)[0]
 
-        for j in range(j0, J):
-            if row[j] or not nec[j]:
+        timeouts: list[tuple[int, int]] = []
+        for j in (j0 + np.flatnonzero(nec[j0:])).tolist():
+            if row[j]:
                 continue
-            box = boxes[j].inner
-            box_dims = box.as_tuple()
-            if n == 1:
-                # Necessity for one carton is the exact single test.
-                for k in closure[j]:
-                    row[k] = 1
-                continue
+            box_dims = boxes[j].inner.as_tuple()
             lw_box = Dims3(*_box_key(box_dims, True))
-            if fits_stacking(cartons, lw_box):
-                for k in closure[j]:
-                    row[k] = 1
-                continue
-            out = self._cached_verdict(cartons, box_dims, pinned)
-            if out is Outcome.TIMED_OUT:
-                timeouts.append((shipment.id, boxes[j].id))
-            if out is Outcome.FIT:
-                for k in closure[j]:
-                    row[k] = 1
-        return row, timeouts
+            if not fits_stacking(cartons, lw_box):
+                out = self._cached_verdict(cartons, box_dims, pinned)
+                if out is Outcome.TIMED_OUT:
+                    timeouts.append((shipment.id, boxes[j].id))
+                if out is not Outcome.FIT:
+                    continue
+            # A FIT carries over to every box this one nests into.
+            row |= up[j]
+        return timeouts
+
+
+_SCAN_BLOCK = 1024  # shipments whose rows are held at once
 
 
 def _scan_chunk(args):
+    """CSR row lengths, column indices and per-row timeouts of shipments
+    scanned a block at a time."""
     shipments, boxes, nests, cfg = args
     scanner = _ShipmentScanner(boxes, nests, cfg)
-    return [scanner.scan(s) for s in shipments]
+    counts = [np.zeros(0, dtype=np.int64)]
+    cols = [np.zeros(0, dtype=np.int32)]
+    timeouts: list[list[tuple[int, int]]] = []
+    for a in range(0, len(shipments), _SCAN_BLOCK):
+        rows, ts = scanner.scan_block(shipments[a:a + _SCAN_BLOCK])
+        r, c = np.nonzero(rows)
+        counts.append(np.bincount(r, minlength=len(rows)))
+        cols.append(c.astype(np.int32))
+        timeouts += ts
+    return np.concatenate(counts), np.concatenate(cols), timeouts
 
 
 def compute_fit_matrix(
@@ -603,47 +699,26 @@ def compute_fit_matrix(
         cfg = FitScanConfig()
     if nests is None:
         nests = compute_nest_sets(boxes)
-    if cfg.threads > 1 and len(shipments) > 1:
-        chunks = [list(shipments[k::cfg.threads]) for k in range(cfg.threads)]
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    n, T = len(shipments), cfg.threads
+    if T > 1 and n > 1:
+        chunks = [list(shipments[k::T]) for k in range(T)]
+        with ProcessPoolExecutor(max_workers=T) as pool:
             parts = list(pool.map(_scan_chunk, [(c, boxes, nests, cfg) for c in chunks]))
         # Re-interleave to shipment order.
-        results = [None] * len(shipments)
-        for k, part in enumerate(parts):
-            for offset, res in enumerate(part):
-                results[k + offset * cfg.threads] = res
+        counts = np.zeros(n, dtype=np.int64)
+        row_timeouts: list = [None] * n
+        for k, (c, _, ts) in enumerate(parts):
+            counts[k::T] = c
+            row_timeouts[k::T] = ts
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        for k, (c, cols, _) in enumerate(parts):
+            shift = indptr[k:-1:T] - (np.cumsum(c) - c)  # chunk offset -> matrix offset
+            indices[np.repeat(shift, c) + np.arange(cols.size)] = cols
     else:
-        scanner = _ShipmentScanner(boxes, nests, cfg)
-        results = (scanner.scan(s) for s in shipments)
-    timeouts: list[tuple[int, int]] = []
-
-    def rows():
-        for row, ts in results:
-            timeouts.extend(ts)
-            yield row
-
-    indptr, indices = _byte_rows_to_csr(rows(), len(shipments), len(boxes))
-    matrix = FitMatrix.from_csr(len(shipments), len(boxes), indptr, indices,
-                                timeouts, cfg.content_hash())
+        counts, indices, row_timeouts = _scan_chunk((shipments, boxes, nests, cfg))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+    matrix = FitMatrix.from_csr(n, len(boxes), indptr, indices,
+                                list(itertools.chain.from_iterable(row_timeouts)),
+                                cfg.content_hash())
     return matrix, matrix.packables()
-
-
-_SCAN_BLOCK = 1024  # shipments converted to CSR per numpy call
-
-
-def _byte_rows_to_csr(rows: Iterable[bytes], n_rows: int,
-                      n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of byte rows (one byte per column, nonzero = set), taken
-    in blocks so that no more than one block of rows is held at a time."""
-    counts = np.zeros(n_rows, dtype=np.int64)
-    parts: list[np.ndarray] = []
-    rows = iter(rows)
-    start = 0
-    while block := list(itertools.islice(rows, _SCAN_BLOCK)):
-        pos = np.flatnonzero(np.frombuffer(b"".join(block), dtype=np.uint8))
-        counts[start:start + len(block)] = np.bincount(pos // n_cols, minlength=len(block))
-        parts.append((pos % n_cols).astype(np.int32))
-        start += len(block)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)

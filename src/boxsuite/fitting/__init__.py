@@ -10,7 +10,7 @@ Layered from cheap to complete:
   that proves NO_FIT without search;
 - :func:`pack_extreme_points` is a constructive extreme-point packer that
   proves FIT when it packs everything (one-sided, no clock);
-- :func:`fits_exact_small` settles two or three cartons exactly;
+- :func:`fits_exact_small` settles two cartons exactly;
 - :func:`solve_fit` is the general branch-and-bound decision procedure;
 - :func:`oracle_fit` is an independent exhaustive reference used for
   cross-checking (exponential, keep n small);

@@ -1,9 +1,9 @@
-"""Exact fit deciders for 2- and 3-carton problems.
+"""Exact fit decider for 2-carton problems.
 
-n=2: two axis-aligned cuboids are disjoint iff separated along some axis, so
+Two axis-aligned cuboids are disjoint iff separated along some axis, so
 feasibility reduces to finding an orientation pair and an axis whose summed
-extents fit, with each remaining extent contained. n=3 falls back to the
-canonical-position enumeration, restricted to three cartons.
+extents fit, with each remaining extent contained. Three or more cartons go
+to the branch-and-bound ``solve_fit``.
 """
 from __future__ import annotations
 
@@ -11,21 +11,14 @@ from time import perf_counter
 
 from boxsuite.model import DataError
 
-from boxsuite.fitting.oracle import canonical_search
 from boxsuite.fitting.types import FitProblem, FitVerdict, Outcome, Placement, orientation_extents
 
 __all__ = ["fits_exact_small"]
 
 
 def fits_exact_small(problem: FitProblem) -> FitVerdict:
-    if problem.n == 2:
-        return _fits_two(problem)
-    if problem.n == 3:
-        return canonical_search(problem)
-    raise DataError(f"fits_exact_small handles 2 or 3 cartons, got {problem.n}")
-
-
-def _fits_two(problem: FitProblem) -> FitVerdict:
+    if problem.n != 2:
+        raise DataError(f"fits_exact_small handles 2 cartons, got {problem.n}")
     t0 = perf_counter()
     eps = problem.eps
     box = problem.box.as_tuple()

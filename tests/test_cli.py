@@ -108,7 +108,7 @@ class TestFit:
         assert seen == [1, 2]
 
     @pytest.mark.parametrize("solver, cartons", [
-        # two cartons no one-row stack holds reach the exact 2/3-carton solver
+        # two cartons no one-row stack holds reach the exact 2-carton solver
         ("fits_exact_small", [(3, 3, 2)] * 2),
         # four cubes no one-row stack holds reach the search
         ("solve_fit", [(2, 2, 2)] * 4),

@@ -4,7 +4,10 @@ import io
 import json
 import random
 import tempfile
+import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from boxsuite.fitmatrix import (
     compute_nest_sets,
     load_fit_matrix,
 )
-from boxsuite.fitting import FitProblem, Outcome, SolverConfig, solve_fit
+from boxsuite.fitting import FitProblem, Outcome, SolverConfig, carton_key, solve_fit
 from boxsuite.model import (
     BoxSet,
     CandidateBox,
@@ -69,6 +72,66 @@ def test_nesting_invariants():
         assert set(ns.ho[j]) <= set(ns.free[j])
         for k in ns.free[j]:
             assert bs.volumes[k] >= bs.volumes[j] - 1e-9
+
+
+def _pairwise_nests(boxes):
+    """Reference nest matrices: one comparison per box pair, later boxes only."""
+    eps = 1e-9 * float(boxes.dims.max())
+    J = len(boxes)
+    mats = []
+    for view in (boxes.sorted_dims, boxes.sorted_lw_dims):
+        up = np.zeros((J, J), dtype=bool)
+        for j in range(J):
+            for k in range(j, J):
+                up[j, k] = all(float(view[k][a]) >= float(view[j][a]) - eps for a in range(3))
+        mats.append(up)
+    return mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_nest_matrices_match_the_pairwise_definition(data):
+    # Dims sit on a grid of half tolerances below integers, so pairs of boxes
+    # are equal, 0.5 eps apart (they nest both ways) or 1.5 eps apart (the
+    # smaller one only); the 20-cube fixes eps at 2e-8.
+    eps = 2e-8
+    base = st.tuples(*[st.integers(2, 5)] * 3)
+    nudge = st.tuples(*[st.sampled_from((0, 0.5, 1.5, 3))] * 3)
+    shapes = data.draw(st.lists(st.tuples(base, nudge), min_size=1, max_size=24))
+    dims = [tuple(b - t * eps for b, t in zip(base_, nudge_)) for base_, nudge_ in shapes]
+    dims += data.draw(st.lists(st.sampled_from(dims), max_size=4))  # identical boxes
+    boxes = box_set(*dims, (20, 20, 20))
+    with mock.patch.object(fitmatrix, "_NEST_BLOCK", data.draw(st.integers(1, 32))):
+        ns = compute_nest_sets(boxes)
+    free, ho = _pairwise_nests(boxes)
+    assert ns.up_free.dtype == ns.up_ho.dtype == np.dtype(bool)
+    assert np.array_equal(ns.up_free, free) and np.array_equal(ns.up_ho, ho)
+    for j in range(len(boxes)):
+        for got, up in ((ns.free[j], free), (ns.ho[j], ho)):
+            assert got == (j, *(k for k in range(j + 1, len(boxes)) if up[j, k]))
+            assert all(type(k) is int for k in got)
+    assert len(ns.free) == len(ns.ho) == len(boxes) and list(ns.free)[-1] == (len(boxes) - 1,)
+
+
+def test_nest_matrices_at_the_paper_shape_fit_in_memory():
+    # 5,284 boxes, as the paper's candidate grid: two J x J bool matrices
+    # (28 MB each) are held, and row blocks keep the build's peak bounded.
+    rng = np.random.default_rng(15)
+    J = 5284
+    dims = np.column_stack([rng.integers(6, 61, J), rng.integers(4, 41, J),
+                            rng.integers(2, 31, J)])
+    boxes = BoxSet([CandidateBox(i + 1, Dims3(*map(int, d))) for i, d in enumerate(dims)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ns = compute_nest_sets(boxes)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ns.up_free.shape == ns.up_ho.shape == (J, J)
+    assert held - before <= 64 * 2**20
+    assert peak - before <= 128 * 2**20
 
 
 # -- scan basics ---------------------------------------------------------------
@@ -168,6 +231,8 @@ def test_scan_is_deterministic():
 def test_exact_small_solver_sees_only_two_and_three_carton_orders(monkeypatch):
     # Orders of four or more cartons go from the screens to the box cut and
     # the search; no pair or triple of their cartons is solved on its own.
+    # Of the two- and three-carton orders, pairs go to the closed-form
+    # solver and triples to the search.
     boxes, ships = _random_world(56, n_ships=30)
     calls = {"exact": [], "search": []}
 
@@ -183,8 +248,87 @@ def test_exact_small_solver_sees_only_two_and_three_carton_orders(monkeypatch):
     compute_fit_matrix([s for s in ships if len(s.cartons) >= 4], boxes)
     assert calls["exact"] == []
     assert calls["search"] and min(calls["search"]) >= 4
+    calls["search"].clear()
     compute_fit_matrix([s for s in ships if len(s.cartons) in (2, 3)], boxes)
-    assert calls["exact"] and set(calls["exact"]) <= {2, 3}
+    assert calls["exact"] and set(calls["exact"]) == {2}
+    assert calls["search"] and set(calls["search"]) == {3}
+
+
+def _closure_loop_row(ship, boxes, nests):
+    """Reference single-carton row: the exact fit test from the volume cut
+    up, each passing box not yet set adding its nest set."""
+    ho, dims, br = carton_key(ship.cartons[0])
+    eps = 1e-9 * float(boxes.dims.max())
+    view = boxes.sorted_lw_dims if ho else boxes.sorted_dims
+    nec = np.all(view >= np.array(dims) - eps, axis=1)
+    closure = nests.ho if ho or br else nests.free
+    row = set()
+    for j in range(bisect_left(boxes.volumes, liquid_volume(ship)), len(boxes)):
+        if j not in row and nec[j]:
+            row.update(closure[j])
+    return tuple(sorted(row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_single_carton_rows_match_the_closure_loop(data):
+    # Boxes 0-3 half tolerances below small integers and cartons up to two
+    # tolerances either side of a box's dims: nesting then reaches boxes just
+    # outside a carton's own fit test, which the fill must add as the loop
+    # does. The 20-cube fixes eps at 2e-8.
+    eps = 2e-8
+    half = st.sampled_from((0, 1, 2, 3))
+    box_dims = data.draw(st.lists(
+        st.tuples(*[st.tuples(st.integers(3, 5), half)] * 3), min_size=1, max_size=12))
+    dims = [tuple(b - t * eps / 2 for b, t in d) for d in box_dims]
+    boxes = box_set(*dims, (20, 20, 20))
+    ships = []
+    for sid in range(data.draw(st.integers(1, 8))):
+        near = data.draw(st.sampled_from(dims))
+        offsets = data.draw(st.tuples(*[st.sampled_from((-4, -2, -1, 0, 1, 2, 3, 4))] * 3))
+        carton = [d + t * eps / 2 for d, t in zip(near, offsets)]
+        data.draw(st.randoms()).shuffle(carton)
+        flags = dict(height_oriented=data.draw(st.booleans()),
+                     bottom_resting=data.draw(st.booleans()))
+        ships.append(make_shipment(sid, [carton], [flags]))
+    nests = compute_nest_sets(boxes)
+    mat, _ = compute_fit_matrix(ships, boxes, nests)
+    assert mat.rows == tuple(_closure_loop_row(s, boxes, nests) for s in ships)
+
+
+@pytest.mark.parametrize("dims, carton, expected", [
+    # (5, 4, 4) falls 0.9 eps short of the carton's 5 + eps/2 but nests
+    # (5, 4, 3), which holds it: the nest fill adds it.
+    ([(5, 4, 3), (5 - 0.9 * 1.2e-8, 4, 4), (12, 8, 8)], (5 + 0.6e-8, 4, 2.5), (0, 1, 2)),
+    # Nesting within eps is not transitive: (11, 10, 10 - 0.9 eps) nests the
+    # 10-cube and (12, 10, 10 - 1.8 eps) nests it, but not the cube. Only a
+    # box the fill has not reached yet adds its nest set, so the last box,
+    # 1.8 eps short of the carton, stays out.
+    ([(10, 10, 10), (11, 10, 10 - 0.9 * 1.2e-8), (12, 10, 10 - 1.8 * 1.2e-8)],
+     (10, 10, 10), (0, 1)),
+])
+def test_single_carton_fill_follows_the_closure_loop_at_the_tolerance(dims, carton, expected):
+    boxes = box_set(*dims)  # eps = 1.2e-8
+    ship = make_shipment(1, [carton])
+    nests = compute_nest_sets(boxes)
+    mat, _ = compute_fit_matrix([ship], boxes, nests)
+    assert mat.rows[0] == _closure_loop_row(ship, boxes, nests) == expected
+
+
+def test_parallel_scan_of_a_mixed_input_matches_sequential():
+    # Single- and multi-carton orders alternate; a limit too short for any
+    # search times out every triple the root does not refute, in both modes.
+    boxes, ships = _random_world(63, n_ships=16)
+    ships = [make_shipment(100 + k, [(1 + k % 4, 2, 1)]) if k % 3 == 0 else s
+             for k, s in enumerate(ships)]
+    assert {len(s.cartons) for s in ships} >= {1, 2, 3}
+    cfg = FitScanConfig(solver=SolverConfig(time_limit=1e-9))
+    seq, _ = compute_fit_matrix(ships, boxes, cfg=cfg)
+    par, _ = compute_fit_matrix(ships, boxes, cfg=FitScanConfig(cfg.solver, threads=2))
+    assert seq.rows == par.rows and seq.timeouts == par.timeouts and seq.timeouts
+    assert np.array_equal(seq.indptr, par.indptr) and np.array_equal(seq.indices, par.indices)
+    assert [s for s, _ in seq.timeouts] == sorted(
+        (s for s, _ in seq.timeouts), key=[x.id for x in ships].index)
 
 
 def test_parallel_scan_matches_sequential():

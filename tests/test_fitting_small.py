@@ -1,12 +1,28 @@
-"""Two- and three-carton exact solvers against frozen cases and the oracle."""
+"""The two-carton exact solver, and the search on the triples the scan sends
+it, against frozen cases and the oracle."""
 import random
 
 import pytest
 
-from boxsuite.fitting import FitProblem, Outcome, check_witness, fits_exact_small, oracle_fit
+from boxsuite.fitting import (
+    FitProblem,
+    Outcome,
+    SolverConfig,
+    check_witness,
+    fits_exact_small,
+    oracle_fit,
+    solve_fit,
+)
 from boxsuite.model import Carton, Dims3, DataError
 
 from conftest import random_fit_problem
+
+GENEROUS = SolverConfig(time_limit=30.0)
+
+
+def decide(prob):
+    """The scan's exact decision: pairs in closed form, triples by search."""
+    return fits_exact_small(prob) if prob.n == 2 else solve_fit(prob, GENEROUS)
 
 
 def test_two_cubes_axis_separation():
@@ -20,7 +36,7 @@ def test_two_cubes_axis_separation():
 
 def test_three_bricks_corner_case():
     prob = FitProblem(tuple(Carton(Dims3(2, 1, 1)) for _ in range(3)), Dims3(2, 2, 2))
-    verdict = fits_exact_small(prob)
+    verdict = solve_fit(prob, GENEROUS)
     assert verdict.outcome is Outcome.FIT
     assert check_witness(prob, verdict.witness)
 
@@ -42,6 +58,9 @@ def test_wrong_carton_count_rejected():
     single = FitProblem((Carton(Dims3(1, 1, 1)),), Dims3(2, 2, 2))
     with pytest.raises(DataError):
         fits_exact_small(single)
+    triple = FitProblem(tuple(Carton(Dims3(1, 1, 1)) for _ in range(3)), Dims3(2, 2, 2))
+    with pytest.raises(DataError):
+        fits_exact_small(triple)
 
 
 def test_agreement_with_oracle():
@@ -49,7 +68,7 @@ def test_agreement_with_oracle():
     for _ in range(250):
         prob = random_fit_problem(rng, n_range=(2, 3), ho_prob=0.3, br_prob=0.3)
         expected = oracle_fit(prob).outcome
-        got = fits_exact_small(prob)
+        got = decide(prob)
         assert got.outcome is expected, (
             [c.dims.as_tuple() for c in prob.cartons], prob.box.as_tuple())
         if got.is_fit:
