@@ -33,15 +33,17 @@ column per box, and packed into the matrix's CSR form, which every later
 layer reads and writes without a Python object per set bit: ``indptr``
 (int64, one entry per shipment plus one) and ``indices`` (int32 box indices,
 each row's slice sorted and unique). fit.csv holds one ``shipment_id,box_id``
-line per set bit; its manifest records counts, the scan-config hash,
-timed-out pairs and digests of the boxes and shipments, which
-``load_fit_matrix`` checks.
+line per set bit, and fit.npz beside it the CSR arrays and ids in binary; the
+manifest records counts, the scan-config hash, timed-out pairs, digests of
+the boxes and shipments, which ``load_fit_matrix`` checks, and the sha256 of
+both files, which decide whether it may read fit.npz instead of the text.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 from collections.abc import Mapping, Sequence
@@ -52,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 
+from boxsuite import __version__
 from boxsuite.fitting import (
     FitProblem,
     Outcome,
@@ -268,18 +271,46 @@ class FitMatrix:
 
     def save_csv(self, path: str | Path, shipments: Sequence[Shipment],
                  boxes: BoxSet, manifest_path: Optional[str | Path] = None) -> None:
-        """Write ``shipment_id,box_id`` lines with ``\\r\\n`` terminators, one
-        write per shipment, and the manifest beside them."""
+        """Write ``shipment_id,box_id`` lines with ``\\r\\n`` terminators, a
+        block of rows per write, then fit.npz beside them, then the manifest.
+
+        fit.npz holds the CSR arrays and the shipment and box ids in index
+        order, uncompressed. It is left out (and an older one removed) when
+        an id does not fit int64 or shipment ids repeat, since fit.csv then
+        does not load back into these rows one to one. The manifest, written
+        last, records the sha256 of both files, so it describes complete
+        files only.
+        """
         path = Path(path)
-        box_lines = [f"{bx.id}\r\n" for bx in boxes]
+        box_lines = np.array([b"%d\r\n" % bx.id for bx in boxes], dtype=object)
         bounds = self.indptr.tolist()
-        with path.open("w", newline="") as fh:
-            fh.write("shipment_id,box_id\r\n")
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                if a < b:
-                    prefix = f"{shipments[i].id},"
-                    fh.write(prefix + prefix.join(
-                        [box_lines[j] for j in self.indices[a:b].tolist()]))
+        chunk = _HEADER + b"\r\n"
+        csv_hash = hashlib.sha256(chunk)
+        with path.open("wb") as fh:
+            fh.write(chunk)
+            for r0 in range(0, self.n_shipments, _SAVE_BLOCK):
+                r1 = min(r0 + _SAVE_BLOCK, self.n_shipments)
+                base = bounds[r0]
+                lines = box_lines[self.indices[base:bounds[r1]]].tolist()
+                parts = []
+                for i in range(r0, r1):
+                    a, b = bounds[i] - base, bounds[i + 1] - base
+                    if a < b:
+                        prefix = b"%d," % shipments[i].id
+                        parts.append(prefix + prefix.join(lines[a:b]))
+                chunk = b"".join(parts)
+                fh.write(chunk)
+                csv_hash.update(chunk)
+        npz_path = path.with_suffix(".npz")
+        ids = _unique_int64_ids(shipments, boxes)
+        if ids is None:
+            npz_path.unlink(missing_ok=True)
+            npz_sha256 = None
+        else:
+            with npz_path.open("wb") as fh:
+                np.savez(fh, indptr=self.indptr, indices=self.indices,
+                         shipment_ids=ids[0], box_ids=ids[1])
+            npz_sha256 = _file_sha256(npz_path)
         if manifest_path is None:
             manifest_path = path.with_suffix(".manifest.json")
         manifest = {
@@ -290,9 +321,36 @@ class FitMatrix:
             "config_hash": self.config_hash,
             "boxes_digest": _boxes_digest(boxes),
             "shipments_digest": _shipments_digest(shipments),
+            "csv_sha256": csv_hash.hexdigest(),
+            "npz_sha256": npz_sha256,
+            "version": __version__,
             "timeouts": [[sid, bid] for sid, bid in self.timeouts],
         }
         Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+_SAVE_BLOCK = 64  # fit.csv rows per write; only one block's box lines are gathered at once
+
+
+def _unique_int64_ids(shipments: Sequence[Shipment], boxes: BoxSet
+                      ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Shipment and box ids in index order as int64 arrays, or None when an
+    id does not fit int64 or shipment ids repeat."""
+    ship_ids = [s.id for s in shipments]
+    if len(set(ship_ids)) != len(ship_ids):  # np.unique would import numpy.ma
+        return None
+    try:
+        return np.array(ship_ids, dtype=np.int64), np.array(boxes.ids, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _file_sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _boxes_digest(boxes: BoxSet) -> str:
@@ -331,22 +389,30 @@ def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
                     boxes: BoxSet, manifest_path: Optional[str | Path] = None) -> FitMatrix:
     """Read fit.csv (and its manifest, when there is one) into a FitMatrix.
 
-    Files made only of ``digits,digits`` lines (``\\n`` or ``\\r\\n``, after an
-    optional ``shipment_id,box_id`` header) are parsed a chunk at a time with
-    numpy; any other file, and any file with an error, goes through the
-    per-line csv reader, which returns the same matrix and raises the
-    ``DataError`` naming the offending line.
+    fit.npz beside fit.csv is read instead of the text when the manifest
+    vouches for both files and the inputs: fit.csv's bytes hash to its
+    ``csv_sha256``, fit.npz's to its ``npz_sha256``, and the npz's ids are
+    the given shipments' and boxes' ids in the given order. So an edited
+    fit.csv always wins over an intact npz, and a stale or altered npz is
+    never loaded. Otherwise, files made only of ``digits,digits`` lines
+    (``\\n`` or ``\\r\\n``, after an optional ``shipment_id,box_id`` header)
+    are parsed a chunk at a time with numpy; any other file, and any file
+    with an error, goes through the per-line csv reader, which returns the
+    same matrix and raises the ``DataError`` naming the offending line.
+    The manifest's counts and input digests are checked on every path.
     """
     path = Path(path)
     n, J = len(shipments), len(boxes)
-    csr = _read_csr(path, shipments, boxes)
-    if csr is None:
-        mat = FitMatrix(n, J, _read_rows_per_line(path, shipments, boxes))
-        csr = mat.indptr, mat.indices
     if manifest_path is None:
         candidate = path.with_suffix(".manifest.json")
         manifest_path = candidate if candidate.exists() else None
     manifest = json.loads(Path(manifest_path).read_text()) if manifest_path else {}
+    csr = _read_npz(path, manifest, shipments, boxes)
+    if csr is None:
+        csr = _read_csr(path, shipments, boxes)
+    if csr is None:
+        mat = FitMatrix(n, J, _read_rows_per_line(path, shipments, boxes))
+        csr = mat.indptr, mat.indices
     mat = FitMatrix.from_csr(n, J, *csr, [tuple(t) for t in manifest.get("timeouts", [])],
                              manifest.get("config_hash", ""))
     if manifest:
@@ -358,6 +424,40 @@ def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
                 raise DataError(f"fit matrix manifest disagrees on {key}: "
                                 f"{manifest[key]} != {got}")
     return mat
+
+
+_NPZ_ARRAYS = {"indptr": np.int64, "indices": np.int32,
+               "shipment_ids": np.int64, "box_ids": np.int64}
+
+
+def _read_npz(path: Path, manifest: Mapping, shipments: Sequence[Shipment],
+              boxes: BoxSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """fit.npz's CSR (indptr, indices), or None unless the manifest's
+    digests match fit.csv and the npz and its ids match the inputs."""
+    csv_sha256, npz_sha256 = manifest.get("csv_sha256"), manifest.get("npz_sha256")
+    if not (csv_sha256 and npz_sha256):
+        return None
+    try:
+        data = path.with_suffix(".npz").read_bytes()
+    except FileNotFoundError:
+        return None
+    if (hashlib.sha256(data).hexdigest() != npz_sha256
+            or _file_sha256(path) != csv_sha256):
+        return None
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        if set(npz.files) != _NPZ_ARRAYS.keys():
+            return None
+        arrays = {name: npz[name] for name in _NPZ_ARRAYS}
+    ids = _unique_int64_ids(shipments, boxes)
+    indptr, indices = arrays["indptr"], arrays["indices"]
+    if (ids is None
+            or any(arrays[name].dtype != dtype or arrays[name].ndim != 1
+                   for name, dtype in _NPZ_ARRAYS.items())
+            or indptr.shape != (len(shipments) + 1,) or indptr[-1] != indices.size
+            or not np.array_equal(arrays["shipment_ids"], ids[0])
+            or not np.array_equal(arrays["box_ids"], ids[1])):
+        return None
+    return indptr, indices
 
 
 def _read_rows_per_line(path: Path, shipments: Sequence[Shipment],

@@ -147,6 +147,26 @@ class TestRecommend:
         assert [e["id"] for e in exact["suite"]] == [e["id"] for e in grasp["suite"]]
         assert exact["objective"] == grasp["objective"]
 
+    def test_suite_is_the_same_with_a_missing_or_corrupt_fit_npz(self, fixture_files):
+        tmp, bpath, spath = fixture_files
+        fit = run_fit(fixture_files)
+        npz = fit.with_suffix(".npz")
+        saved = npz.read_bytes()
+
+        def recommend(name):
+            out_dir = tmp / name
+            assert main(["recommend", "--fit", str(fit), "--boxes", bpath,
+                         "--shipments", spath, "-p", "2", "--out", str(out_dir)]) == 0
+            return (out_dir / "suite.json").read_bytes()
+
+        from_npz = recommend("npz")
+        npz.unlink()
+        without = recommend("without")
+        mid = len(saved) // 2
+        npz.write_bytes(saved[:mid] + bytes([saved[mid] ^ 1]) + saved[mid + 1:])
+        corrupt = recommend("corrupt")
+        assert from_npz == without == corrupt
+
     def test_lock_at_least_p_exits_2(self, fixture_files):
         rc, _ = self.run(fixture_files, "--lock", "1,2")
         assert rc == 2

@@ -1,5 +1,6 @@
 """Nesting sets, the tiered shipment-to-box feasibility scan and fit.csv I/O."""
 import csv
+import hashlib
 import io
 import json
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxsuite
 from boxsuite import fitmatrix
 from boxsuite.fitmatrix import (
     FitMatrix,
@@ -417,6 +419,20 @@ def per_line_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """Counts the chunked text reader's calls; a saved matrix must not need it."""
+    calls = []
+    original = fitmatrix._read_csr
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(fitmatrix, "_read_csr", counted)
+    return calls
+
+
 @pytest.mark.parametrize("rows", [
     [(0, 2), (), (1, 2, 3), (3,)],
     [(), (), (), ()],
@@ -432,6 +448,10 @@ def test_save_csv_matches_csv_writer(tmp_path, rows):
     assert manifest["set_bits"] == mat.set_bits
     assert manifest["packable"] == sum(1 for r in rows if r)
     assert len(manifest["boxes_digest"]) == len(manifest["shipments_digest"]) == 64
+    assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    npz = out.with_suffix(".npz").read_bytes()
+    assert manifest["npz_sha256"] == hashlib.sha256(npz).hexdigest()
+    assert manifest["version"] == boxsuite.__version__
 
 
 ACCEPTED = {
@@ -559,7 +579,7 @@ def test_manifest_digests_refuse_other_inputs(tmp_path):
     assert load_fit_matrix(out, other, other_boxes).rows == mat.rows
 
 
-def test_digests_ignore_input_order_and_locks(tmp_path):
+def test_digests_ignore_input_order_and_locks(tmp_path, csv_parses):
     boxes = BoxSet([CandidateBox(1, Dims3(1, 2, 3)), CandidateBox(2, Dims3(3, 2, 1)),
                     CandidateBox(3, Dims3(2, 2, 2))])
     tied = BoxSet(boxes.boxes[::-1], locked_ids=[3])  # equal volumes keep input order
@@ -575,6 +595,7 @@ def test_digests_ignore_input_order_and_locks(tmp_path):
         return {(ss[i].id, bs[j].id) for i, row in enumerate(m.rows) for j in row}
 
     assert pairs(back, shuffled, tied) == pairs(mat, ships, boxes) and mat.set_bits == 6
+    assert csv_parses == [out]  # the npz holds the ids in the saved order
 
 
 def test_digests_of_a_fixed_input_are_pinned():
@@ -608,9 +629,155 @@ def test_csv_round_trip_of_random_matrices(data):
         mat.save_csv(out, ships, boxes)
         assert out.read_bytes() == _csv_writer_bytes(mat, ships, boxes)
         back = load_fit_matrix(out, ships, boxes)
+        out.with_suffix(".npz").unlink(missing_ok=True)
+        text = load_fit_matrix(out, ships, boxes)
     assert back.rows == mat.rows
-    assert np.array_equal(back.indptr, mat.indptr)
-    assert np.array_equal(back.indices, mat.indices)
+    for loaded in (back, text):
+        assert np.array_equal(loaded.indptr, mat.indptr)
+        assert np.array_equal(loaded.indices, mat.indices)
+        assert loaded.indptr.dtype == np.int64 and loaded.indices.dtype == np.int32
+
+
+# -- fit.npz ----------------------------------------------------------------------
+
+def _equal_volume_world():
+    """Boxes of one volume keep their input order, so reversing the BoxSet
+    puts the same boxes at other indices."""
+    boxes = BoxSet([CandidateBox(bid, Dims3(*d)) for bid, d in
+                    zip((7, 1000, 3, 42), ((1, 2, 3), (3, 2, 1), (2, 3, 1), (6, 1, 1)))])
+    ships = [make_shipment(sid, [(1, 1, 1)]) for sid in (500, 30, 9, 123456789)]
+    return boxes, ships
+
+
+EQUAL_VOLUME_ROWS = [(0, 2), (), (1, 2, 3), (3,)]
+
+
+def _save(tmp_path, ships, boxes, rows=EQUAL_VOLUME_ROWS):
+    mat = FitMatrix(len(ships), len(boxes), rows)
+    out = tmp_path / "fit.csv"
+    mat.save_csv(out, ships, boxes)
+    return mat, out
+
+
+def test_saved_matrix_loads_from_the_npz_without_a_text_parse(tmp_path, csv_parses,
+                                                              per_line_calls):
+    boxes, ships = _random_world(63, n_ships=8)
+    mat, _ = compute_fit_matrix(ships, boxes)
+    out = tmp_path / "fit.csv"
+    mat.save_csv(out, ships, boxes)
+    back = load_fit_matrix(out, ships, boxes)
+    assert csv_parses == [] and per_line_calls == []
+    out.with_suffix(".npz").unlink()
+    text = load_fit_matrix(out, ships, boxes)
+    assert csv_parses == [out]
+    assert np.array_equal(back.indptr, text.indptr) and back.indptr.dtype == text.indptr.dtype
+    assert np.array_equal(back.indices, text.indices) and back.indices.dtype == text.indices.dtype
+    assert back.rows == text.rows == mat.rows
+    assert back.timeouts == text.timeouts and back.config_hash == text.config_hash
+
+
+def _flip_npz_byte(out, ships, boxes):
+    npz = out.with_suffix(".npz")
+    data = bytearray(npz.read_bytes())
+    data[len(data) // 2] ^= 1
+    npz.write_bytes(bytes(data))
+    return ships, boxes
+
+
+def _drop_new_manifest_keys(out, ships, boxes):
+    manifest_path = out.with_suffix(".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["csv_sha256"], manifest["npz_sha256"], manifest["version"]
+    manifest_path.write_text(json.dumps(manifest))
+    return ships, boxes
+
+
+def _drop_npz(out, ships, boxes):
+    out.with_suffix(".npz").unlink()
+    return ships, boxes
+
+
+NPZ_FALLBACKS = {
+    # name: mutation after saving, returning the inputs to load with
+    "missing npz": _drop_npz,
+    "one npz byte flipped": _flip_npz_byte,
+    "manifest without the new keys": _drop_new_manifest_keys,
+    "shipments reordered": lambda out, ships, boxes: (ships[::-1], boxes),
+    "boxes reordered": lambda out, ships, boxes: (ships, BoxSet(boxes.boxes[::-1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NPZ_FALLBACKS))
+def test_npz_that_does_not_match_falls_back_to_the_csv(tmp_path, csv_parses, name):
+    boxes, ships = _equal_volume_world()
+    mat, out = _save(tmp_path, ships, boxes)
+    assert out.with_suffix(".npz").exists()
+    ships, boxes = NPZ_FALLBACKS[name](out, ships, boxes)
+    back = load_fit_matrix(out, ships, boxes)
+    assert csv_parses == [out]
+    assert back.rows == _per_line_rows(out, ships, boxes)
+    assert back.set_bits == mat.set_bits
+
+
+@pytest.mark.parametrize("extra, rows", [
+    # an id beyond int64, and repeated shipment ids (the CSV loads these
+    # into the last row, which the npz could not reproduce)
+    ([make_shipment(2**63, [(1, 1, 1)])], EQUAL_VOLUME_ROWS + [(0, 1)]),
+    ([make_shipment(9, [(1, 1, 1)]), make_shipment(500, [(1, 1, 1)])],
+     EQUAL_VOLUME_ROWS + [(0,), (3,)]),
+])
+def test_ids_the_npz_cannot_hold_write_no_npz(tmp_path, csv_parses, extra, rows):
+    boxes, ships = _equal_volume_world()
+    ships += extra
+    (tmp_path / "fit.npz").write_bytes(b"left by an earlier save")
+    mat, out = _save(tmp_path, ships, boxes, rows)
+    assert not out.with_suffix(".npz").exists()
+    assert json.loads(out.with_suffix(".manifest.json").read_text())["npz_sha256"] is None
+    back = load_fit_matrix(out, ships, boxes)
+    assert csv_parses == [out]
+    assert back.rows == _per_line_rows(out, ships, boxes)
+
+
+def test_edited_csv_wins_over_an_intact_npz(tmp_path, csv_parses):
+    boxes, ships = _equal_volume_world()
+    mat, out = _save(tmp_path, ships, boxes)
+    lines = out.read_bytes().split(b"\r\n")
+    out.write_bytes(b"\r\n".join(ln for ln in lines if ln != b"9,3"))
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, ships, boxes)
+    assert str(exc.value) == "fit matrix manifest disagrees on set_bits: 6 != 5"
+    manifest_path = out.with_suffix(".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["set_bits"] = 5
+    manifest_path.write_text(json.dumps(manifest))
+    back = load_fit_matrix(out, ships, boxes)
+    assert back.rows == _per_line_rows(out, ships, boxes) == ((0, 2), (), (1, 3), (3,))
+    assert csv_parses == [out, out]
+
+
+def test_npz_path_refuses_manifest_mismatches(tmp_path, csv_parses):
+    boxes, ships = _equal_volume_world()
+    mat, out = _save(tmp_path, ships, boxes)
+    manifest_path = out.with_suffix(".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    # Each load keeps the ids and their order, so the npz is read.
+    grown = [make_shipment(500, [(2, 1, 1)]), *ships[1:]]
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, grown, boxes)
+    assert str(exc.value) == ("fit matrix manifest disagrees on shipments_digest: "
+                              f"{manifest['shipments_digest']} != "
+                              f"{fitmatrix._shipments_digest(grown)}")
+    reshaped = BoxSet([CandidateBox(7, Dims3(1, 1, 6)), *boxes.boxes[1:]])
+    assert reshaped.ids == boxes.ids
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, ships, reshaped)
+    assert str(exc.value) == ("fit matrix manifest disagrees on boxes_digest: "
+                              f"{manifest['boxes_digest']} != {fitmatrix._boxes_digest(reshaped)}")
+    manifest_path.write_text(json.dumps({**manifest, "set_bits": 5}))
+    with pytest.raises(DataError) as exc:
+        load_fit_matrix(out, ships, boxes)
+    assert str(exc.value) == "fit matrix manifest disagrees on set_bits: 5 != 6"
+    assert csv_parses == []
 
 
 def test_csr_accessors_and_fitting_boxes_view():
