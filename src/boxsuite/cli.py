@@ -16,7 +16,12 @@ from boxsuite.cost import (
     load_box_cost_table,
     load_pair_cost_table,
 )
-from boxsuite.fitmatrix import FitScanConfig, compute_fit_matrix, load_fit_matrix
+from boxsuite.fitmatrix import (
+    FitScanConfig,
+    cheapest_fitting_boxes,
+    compute_fit_matrix,
+    load_fit_matrix,
+)
 from boxsuite.fitting import SolverConfig
 from boxsuite.model import (
     BoxSet,
@@ -241,12 +246,11 @@ def cmd_fitone(args: argparse.Namespace) -> int:
         raise DataError("fitone expects exactly one shipment in the file")
     _, defs, _ = _load_suite_file(args.suite)
     suite_boxes = BoxSet(defs)
-    fitm, _ = compute_fit_matrix(shipments, suite_boxes)
-    row = fitm.rows[0]
-    if not row:
+    [[pick]] = cheapest_fitting_boxes(shipments, [suite_boxes], InnerVolumeCost())
+    if pick is None:
         print("no suite box fits this shipment")
         return 0
-    best = suite_boxes.boxes[row[0]]
+    best = suite_boxes.boxes[pick]
     dims = "x".join(f"{v:g}" for v in best.inner.as_tuple())
     print(f"box {best.id} ({dims}), inner volume {best.volume:g}")
     return 0

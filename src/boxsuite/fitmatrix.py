@@ -28,6 +28,11 @@ box one at a time: for one carton necessity is the exact test, so a block of
 such shipments gets its rows, the test above the volume cut plus its
 nesting closure, from a few array operations.
 
+Packing shipments into a suite needs only each one's cheapest fitting box,
+not its row. ``cheapest_fitting_boxes`` visits a shipment's candidate boxes
+in (cost, index) order through the same cascade and stops at the first FIT,
+so no box costlier than the answer is decided.
+
 Rows are scanned a block of shipments at a time, as a boolean matrix with a
 column per box, and packed into the matrix's CSR form, which every later
 layer reads and writes without a Python object per set bit: ``indptr``
@@ -46,11 +51,11 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -85,6 +90,7 @@ __all__ = [
     "FitScanConfig",
     "compute_nest_sets",
     "compute_fit_matrix",
+    "cheapest_fitting_boxes",
     "load_fit_matrix",
 ]
 
@@ -735,22 +741,26 @@ class _ShipmentScanner:
             rows[i] = row
         return rows
 
-    def _scan(self, shipment: Shipment, j0: int, row: np.ndarray) -> list[tuple[int, int]]:
-        """Fill ``row`` for a shipment of two or more cartons, visiting boxes
-        from ``j0`` up; returns its timeouts."""
+    def _necessity(self, cartons: Sequence[Carton]) -> tuple[bool, np.ndarray]:
+        """Whether any carton pins the vertical axis, and per-carton
+        necessity over all boxes at once."""
         boxes = self.boxes
-        cartons = shipment.cartons
         keys = [carton_key(c) for c in cartons]
-        pinned = any(ho or br for ho, _, br in keys)
-        up = self.nests.up_ho if pinned else self.nests.up_free
-
-        # Vectorized per-carton necessity over all boxes at once.
         nec = np.ones(len(boxes), dtype=bool)
         for ho, view in ((False, boxes.sorted_dims), (True, boxes.sorted_lw_dims)):
             dims = [d for h, d, _ in keys if h == ho]
             if dims:
                 nec &= _covers(view, np.max(np.array(dims), axis=0, keepdims=True),
                                self._longest_eps)[0]
+        return any(ho or br for ho, _, br in keys), nec
+
+    def _scan(self, shipment: Shipment, j0: int, row: np.ndarray) -> list[tuple[int, int]]:
+        """Fill ``row`` for a shipment of two or more cartons, visiting boxes
+        from ``j0`` up; returns its timeouts."""
+        boxes = self.boxes
+        cartons = shipment.cartons
+        pinned, nec = self._necessity(cartons)
+        up = self.nests.up_ho if pinned else self.nests.up_free
 
         timeouts: list[tuple[int, int]] = []
         for j in (j0 + np.flatnonzero(nec[j0:])).tolist():
@@ -767,6 +777,125 @@ class _ShipmentScanner:
             # A FIT carries over to every box this one nests into.
             row |= up[j]
         return timeouts
+
+    def cheapest(self, shipments: Sequence[Shipment], suite: BoxSet,
+                 model) -> list[Optional[int]]:
+        """Each shipment's cheapest fitting box of ``suite``, whose boxes are
+        all among the scanner's, as an index into ``suite``; see
+        ``cheapest_fitting_boxes``."""
+        cols = np.array([self.boxes.index_of(bx.id) for bx in suite], dtype=np.intp)
+        box_costs = getattr(model, "box_costs", None)
+        if box_costs is None:
+            order = missing = None
+        else:
+            costs = np.asarray(box_costs(suite), dtype=np.float64)
+            missing = np.isnan(costs)
+            order = np.argsort(costs, kind="stable")  # NaN last
+            order = order[~missing[order]]
+            rank = np.full(len(suite), order.size)  # visit position; missing last
+            rank[order] = np.arange(order.size)
+            by_rank = np.append(order, -1)
+        picks: list[Optional[int]] = []
+        for a in range(0, len(shipments), _SCAN_BLOCK):
+            block = shipments[a:a + _SCAN_BLOCK]
+            j0 = np.searchsorted(self.boxes.volumes, [liquid_volume(s) for s in block])
+            single = [i for i, s in enumerate(block) if len(s.cartons) == 1]
+            rows = {}  # single-carton row, or its (cheapest, missing-cost) fitting boxes
+            if single:
+                fit = self._single_rows([block[i].cartons[0] for i in single],
+                                        j0[single])[:, cols]
+                if order is None:
+                    rows = dict(zip(single, fit))
+                else:  # all rows at once; -1 where there is no such box
+                    best = by_rank[np.where(fit, rank, order.size).min(axis=1)]
+                    bad = fit & missing
+                    lost = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+                    rows = dict(zip(single, zip(best.tolist(), lost.tolist())))
+            for i, s in enumerate(block):
+                if i not in rows:
+                    picks.append(self._first_fit(s, int(j0[i]), suite, cols, model,
+                                                 order, missing))
+                elif order is None:
+                    picks.append(_pick(s, rows[i], lambda k: True, suite, model, None, None))
+                else:
+                    k, lost = rows[i]
+                    if lost >= 0:
+                        _raise_cost_error(model, s, suite[lost])
+                    picks.append(k if k >= 0 else None)
+        return picks
+
+    def _first_fit(self, shipment: Shipment, j0: int, suite: BoxSet, cols: np.ndarray,
+                   model, order: Optional[np.ndarray], missing: Optional[np.ndarray]
+                   ) -> Optional[int]:
+        """Cheapest fitting box of ``suite`` for two or more cartons, deciding
+        boxes in cost order until one fits."""
+        cartons = shipment.cartons
+        pinned, nec = self._necessity(cartons)
+        up = self.nests.up_ho if pinned else self.nests.up_free
+        cand = (cols >= j0) & nec[cols]
+        own: dict[int, Outcome] = {}
+
+        def verdict(k: int) -> Outcome:
+            if k not in own:
+                box_dims = suite[k].inner.as_tuple()
+                if fits_stacking(cartons, Dims3(*_box_key(box_dims, True))):
+                    own[k] = Outcome.FIT
+                else:
+                    own[k] = self._cached_verdict(cartons, box_dims, pinned)
+            return own[k]
+
+        def fits(k: int) -> bool:
+            out = verdict(k)
+            if out is Outcome.TIMED_OUT:
+                # A timed-out box fits when a box nesting into it does.
+                nested = np.flatnonzero(up[cols, cols[k]] & cand).tolist()
+                return any(verdict(i) is Outcome.FIT for i in nested if i != k)
+            return out is Outcome.FIT
+
+        return _pick(shipment, cand, fits, suite, model, order, missing)
+
+
+def _pick(shipment: Shipment, cand: np.ndarray, fits, suite: BoxSet, model,
+          order: Optional[np.ndarray], missing: Optional[np.ndarray]) -> Optional[int]:
+    """The first candidate box (``cand``, a mask over ``suite``) in (cost,
+    index) order for which ``fits`` holds, or None.
+
+    ``order`` and ``missing`` are the suite's visit order and missing costs
+    under a box-only model; when None, costs come from ``model.cost_for``.
+    A candidate whose cost lookup fails is decided before the others, in
+    index order, and raises the lookup's error if it fits.
+    """
+    if order is None:
+        idx = np.flatnonzero(cand)
+        costs = np.array([_cost_or_nan(model, shipment, suite[k]) for k in idx.tolist()])
+        lost = np.isnan(costs)
+        bad = idx[lost]
+        visit = idx[~lost][np.argsort(costs[~lost], kind="stable")]
+    else:
+        bad = np.flatnonzero(cand & missing)
+        visit = order[cand[order]]
+    for k in bad.tolist():
+        if fits(k):
+            _raise_cost_error(model, shipment, suite[k])
+    for k in visit.tolist():
+        if fits(k):
+            return k
+    return None
+
+
+def _cost_or_nan(model, shipment: Shipment, box) -> float:
+    try:
+        return float(model.cost_for(shipment, box))
+    except DataError:  # raised again by _raise_cost_error if the box fits
+        return math.nan
+
+
+def _raise_cost_error(model, shipment: Shipment, box) -> NoReturn:
+    """Raise the error of a fitting box's failed cost lookup: the model's
+    own, or a DataError for a NaN cost."""
+    cost = model.cost_for(shipment, box)
+    raise DataError(f"cost model produced invalid cost {cost!r} for shipment "
+                    f"{shipment.id}, box {box.id}")
 
 
 _SCAN_BLOCK = 1024  # shipments whose rows are held at once
@@ -801,6 +930,10 @@ def compute_fit_matrix(
         nests = compute_nest_sets(boxes)
     n, T = len(shipments), cfg.threads
     if T > 1 and n > 1:
+        # Imported here: it pulls in multiprocessing, which a single-process
+        # run would otherwise load at every start.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [list(shipments[k::T]) for k in range(T)]
         with ProcessPoolExecutor(max_workers=T) as pool:
             parts = list(pool.map(_scan_chunk, [(c, boxes, nests, cfg) for c in chunks]))
@@ -822,3 +955,42 @@ def compute_fit_matrix(
                                 list(itertools.chain.from_iterable(row_timeouts)),
                                 cfg.content_hash())
     return matrix, matrix.packables()
+
+
+def cheapest_fitting_boxes(shipments: Sequence[Shipment], suites: Sequence[BoxSet],
+                           model) -> list[list[Optional[int]]]:
+    """For each suite, each shipment's cheapest fitting box as an index into
+    that suite, or None when no box of it fits.
+
+    ``model`` is a cost model (``boxsuite.cost.CostModel``). The answer is
+    the ``compute_fit_matrix`` row's minimum by ``(cost, index)``, found
+    without building the row:
+
+    - Single-carton shipments get their rows a block at a time, as in the
+      scan, and take the row's cheapest box.
+    - A shipment of two or more cartons visits the boxes that pass the
+      volume cut and necessity in (cost, index) order, one order for the
+      suite under a box-only model (one with ``box_costs``), one per
+      shipment from ``cost_for`` otherwise, and stops at the first that
+      fits. A box fits when stacking or the cascade (``_cached_verdict``)
+      says FIT. A box whose own decision times out fits when a candidate
+      box nesting into it (its ``up`` column) fits by its own verdict.
+    - A candidate whose cost lookup fails (``cost_for`` raises DataError or
+      gives NaN, or ``box_costs`` gives NaN) is decided first, whatever its
+      place in the order, and raises only if it fits: the lookup's own
+      error, or a DataError naming the NaN. As with the row minimum, the
+      first shipment with such a box raises, for its lowest such index.
+
+    The rule treats nesting as transitive. Where box dims lie within the
+    tolerance of each other it is not, and the scan's row can then hold a
+    box by nest fill alone; this routine counts a box only by its own
+    verdict or, on a timeout, by a directly nested box's.
+
+    One scanner, so one memo, serves every suite: it runs over the union of
+    their boxes, whose longest box sets the necessity tolerance.
+    """
+    if not suites:
+        return []
+    union = BoxSet(dict.fromkeys(itertools.chain.from_iterable(suites)))
+    scanner = _ShipmentScanner(union, compute_nest_sets(union), FitScanConfig())
+    return [scanner.cheapest(shipments, suite, model) for suite in suites]

@@ -16,7 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from boxsuite.cost import CostModel, InnerVolumeCost, build_cost_matrix
-from boxsuite.fitmatrix import FitMatrix, PackableSet, compute_fit_matrix
+from boxsuite.fitmatrix import (
+    FitMatrix,
+    PackableSet,
+    cheapest_fitting_boxes,
+    compute_fit_matrix,
+)
 from boxsuite.model import BoxSet, CandidateBox, DataError, Dims3, Shipment, liquid_volume
 from boxsuite.pmedian import (
     GraspParams,
@@ -375,18 +380,14 @@ class ValidationPair:
 
 def pack_into_suite(shipments: Sequence[Shipment], suite_boxes: BoxSet,
                     model: Optional[CostModel] = None) -> list[Optional[int]]:
-    """Cheapest fitting suite box per shipment; None when nothing fits."""
+    """Cheapest fitting suite box per shipment; None when nothing fits.
+
+    Each shipment's boxes are visited in (cost, index) order until one fits
+    (``cheapest_fitting_boxes``), so no box costlier than the answer is
+    decided.
+    """
     model = model if model is not None else InnerVolumeCost()
-    fitm, _ = compute_fit_matrix(shipments, suite_boxes)
-    out: list[Optional[int]] = []
-    for i, s in enumerate(shipments):
-        row = fitm.rows[i]
-        if not row:
-            out.append(None)
-            continue
-        best = min(row, key=lambda j: (model.cost_for(s, suite_boxes.boxes[j]), j))
-        out.append(best)
-    return out
+    return cheapest_fitting_boxes(shipments, [suite_boxes], model)[0]
 
 
 def _validation_report(shipments: Sequence[Shipment], suite_boxes: BoxSet,
@@ -432,15 +433,17 @@ def validate(suite_ids: Sequence[int], boxes: BoxSet,
     are tallied as uncovered rather than failing the run. A metric whose
     relative divergence between the two sets exceeds warn_threshold is
     flagged, suggesting the suite was tuned on an unrepresentative sample.
+    Each shipment goes to its cheapest fitting suite box, found by visiting
+    boxes in cost order (``cheapest_fitting_boxes``); both sets are packed
+    by one scanner, so a carton multiset and box decided for one set is not
+    decided again for the other.
     """
     model = model if model is not None else InnerVolumeCost()
     suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in suite_ids])
-    rep_a = _validation_report(
-        shipments_a, suite_boxes,
-        pack_into_suite(shipments_a, suite_boxes, model), model)
-    rep_b = _validation_report(
-        shipments_b, suite_boxes,
-        pack_into_suite(shipments_b, suite_boxes, model), model)
+    picks = cheapest_fitting_boxes([*shipments_a, *shipments_b], [suite_boxes], model)[0]
+    n_a = len(shipments_a)
+    rep_a = _validation_report(shipments_a, suite_boxes, picks[:n_a], model)
+    rep_b = _validation_report(shipments_b, suite_boxes, picks[n_a:], model)
     flagged = []
     for la, lb in zip(rep_a.lines, rep_b.lines):
         for name in ("pct_shipments", "pct_cost", "pct_void"):
@@ -473,15 +476,19 @@ def compare_suites(suites: Sequence[Sequence[int]], shipments: Sequence[Shipment
                    boxes: BoxSet, model: Optional[CostModel] = None) -> ComparisonTable:
     """Total packing cost of each suite; reductions relative to the first.
 
+    Each shipment goes to its cheapest fitting box of the suite, found by
+    visiting boxes in cost order (``cheapest_fitting_boxes``). One scanner
+    over the union of the suites' boxes packs every suite, so a box shared
+    by several suites is decided once per carton multiset.
     A suite leaving any shipment uncovered is marked infeasible and excluded
     from the reduction column.
     """
     model = model if model is not None else InnerVolumeCost()
+    suite_sets = [BoxSet([boxes.boxes[boxes.index_of(i)] for i in ids]) for ids in suites]
     rows = []
     base_cost: Optional[float] = None
-    for ids in suites:
-        suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in ids])
-        assignment = pack_into_suite(shipments, suite_boxes, model)
+    for ids, suite_boxes, assignment in zip(
+            suites, suite_sets, cheapest_fitting_boxes(shipments, suite_sets, model)):
         uncovered = sum(1 for j in assignment if j is None)
         total = sum(model.cost_for(shipments[i], suite_boxes.boxes[j])
                     for i, j in enumerate(assignment) if j is not None)

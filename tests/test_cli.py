@@ -1,4 +1,5 @@
 """Command-line interface: flags, artifacts, exit codes."""
+import csv
 import json
 import os
 import subprocess
@@ -9,8 +10,19 @@ import pytest
 
 import boxsuite
 from boxsuite.cli import main
+from boxsuite.fitmatrix import compute_fit_matrix
 from boxsuite.fitting import FitVerdict, Outcome
-from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, save_boxes, save_shipments
+from boxsuite.model import (
+    BoxSet,
+    CandidateBox,
+    Carton,
+    Dims3,
+    Shipment,
+    load_boxes,
+    load_shipments,
+    save_boxes,
+    save_shipments,
+)
 
 
 @pytest.fixture
@@ -282,6 +294,39 @@ class TestOtherCommands:
                    "--boxes", bpath, "--shipments", spath])
         assert rc == 0
         assert "0.00%" in capsys.readouterr().out
+
+    def test_validate_and_compare_pack_by_a_cost_table_not_by_volume(self, fixture_files):
+        tmp, bpath, spath = fixture_files
+        boxes, shipments = load_boxes(bpath), load_shipments(spath)
+        costs = {1: 40.0, 2: 10.0, 3: 30.0, 4: 20.0}  # box 4 before box 3
+        (tmp / "costs.csv").write_text("".join(f"{k},{v}\n" for k, v in costs.items()))
+        suites = {"big": (2, 3, 4), "small": (3, 4)}
+        expected = {}
+        for name, ids in suites.items():
+            suite = BoxSet([boxes[boxes.index_of(i)] for i in ids])
+            (tmp / f"{name}.json").write_text(json.dumps({"suite": [
+                {"id": bx.id, "inner": list(bx.inner.as_tuple())} for bx in suite]}))
+            fitm, _ = compute_fit_matrix(shipments, suite)
+            expected[name] = [suite[min(row, key=lambda j: (costs[suite[j].id], j))].id
+                              for row in fitm.rows]
+        assert expected == {"big": [2, 2, 4], "small": [4, 4, 4]}
+
+        cost = ["--cost", f"table:{tmp / 'costs.csv'}"]
+        assert main(["validate", "--suite", str(tmp / "big.json"), "--boxes", bpath,
+                     "--shipments-a", spath, "--shipments-b", spath,
+                     "--out", str(tmp / "val")] + cost) == 0
+        with (tmp / "val" / "validation.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for tag in "ab":
+            assert {int(r["box_id"]): int(r["n_assigned"]) for r in rows if r["set"] == tag} \
+                == {i: expected["big"].count(i) for i in suites["big"]}
+
+        assert main(["compare", "--suite", str(tmp / "big.json"),
+                     "--suite", str(tmp / "small.json"), "--boxes", bpath,
+                     "--shipments", spath, "--out", str(tmp / "cmp")] + cost) == 0
+        text = (tmp / "cmp" / "comparison.txt").read_text()
+        totals = [float(line.split()[1]) for line in text.splitlines()[1::2]]
+        assert totals == [sum(costs[i] for i in expected[name]) for name in suites]
 
     def test_finetune_emits_locked(self, fixture_files):
         tmp, bpath, spath = fixture_files

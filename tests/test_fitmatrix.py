@@ -17,14 +17,23 @@ from hypothesis import strategies as st
 
 import boxsuite
 from boxsuite import fitmatrix
+from boxsuite.cost import BoxTableCost, InnerVolumeCost, PairTableCost
 from boxsuite.fitmatrix import (
     FitMatrix,
     FitScanConfig,
+    cheapest_fitting_boxes,
     compute_fit_matrix,
     compute_nest_sets,
     load_fit_matrix,
 )
-from boxsuite.fitting import FitProblem, Outcome, SolverConfig, carton_key, solve_fit
+from boxsuite.fitting import (
+    FitProblem,
+    FitVerdict,
+    Outcome,
+    SolverConfig,
+    carton_key,
+    solve_fit,
+)
 from boxsuite.model import (
     BoxSet,
     CandidateBox,
@@ -804,3 +813,163 @@ def test_scan_blocks_do_not_change_rows(monkeypatch):
     blocked, _ = compute_fit_matrix(ships, boxes)
     assert blocked.rows == whole.rows
     assert np.array_equal(blocked.indptr, whole.indptr)
+
+
+# -- cheapest fitting box --------------------------------------------------------
+
+
+def _row_minimum(ships, boxes, model):
+    """Reference: each shipment's fit-matrix row and its minimum by (cost, j)."""
+    mat, _ = compute_fit_matrix(ships, boxes)
+    return [min(row, key=lambda j: (model.cost_for(s, boxes[j]), j)) if row else None
+            for s, row in zip(ships, mat.rows)]
+
+
+def _models(boxes, ships, seed):
+    rng = random.Random(seed)
+    return {
+        "inner-volume": InnerVolumeCost(),
+        # costs fall as volume grows, so cost order reverses volume order
+        "reversed-table": BoxTableCost({bx.id: 1000.0 - bx.volume for bx in boxes}),
+        "pair-table": PairTableCost({(s.id, bx.id): float(rng.randint(1, 4))
+                                     for s in ships for bx in boxes}),
+    }
+
+
+@pytest.mark.parametrize("model_name", ["inner-volume", "reversed-table", "pair-table"])
+def test_cheapest_fitting_boxes_match_the_row_minimum(model_name):
+    picks, sizes = [], set()
+    for seed in range(70, 76):
+        boxes, ships = _random_world(seed, n_boxes=10, n_ships=20, dim_max=6)
+        model = _models(boxes, ships, seed)[model_name]
+        expected = _row_minimum(ships, boxes, model)
+        assert cheapest_fitting_boxes(ships, [boxes], model) == [expected]
+        picks += expected
+        sizes |= {len(s.cartons) for s in ships}
+    assert None in picks and any(j is not None for j in picks)  # some shipments uncovered
+    assert sizes == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("model_name", ["inner-volume", "reversed-table", "pair-table"])
+def test_cheapest_fitting_boxes_per_suite_match_each_suites_row_minimum(model_name):
+    boxes, ships = _random_world(77, n_boxes=12, n_ships=20, dim_max=6)
+    model = _models(boxes, ships, 77)[model_name]
+    suites = [BoxSet(boxes.boxes[0::2]), BoxSet(boxes.boxes[1::3]), BoxSet(boxes.boxes[6:])]
+    got = cheapest_fitting_boxes(ships, suites, model)
+    assert got == [_row_minimum(ships, suite, model) for suite in suites]
+
+
+def _three_carton_world():
+    boxes = box_set((6, 2, 2), (4, 4, 2), (8, 3, 2), (7, 7, 1), (9, 3, 3))
+    ships = [make_shipment(1, [(2, 2, 2)] * 3),
+             make_shipment(2, [(3, 2, 2), (2, 2, 2), (2, 2, 1)]),
+             make_shipment(3, [(4, 3, 2), (2, 2, 2), (2, 2, 2)])]
+    return boxes, ships
+
+
+@pytest.fixture
+def decided_boxes(monkeypatch):
+    """Box dims of every problem the cascade solves, with stacking disabled
+    so that every box reaches the branch-and-bound."""
+    seen = []
+
+    def counting(prob, cfg):
+        seen.append(tuple(sorted(prob.box.as_tuple())))
+        return solve_fit(prob, cfg)
+
+    monkeypatch.setattr(fitmatrix, "fits_stacking", lambda cartons, box: False)
+    monkeypatch.setattr(fitmatrix, "solve_fit", counting)
+    return seen
+
+
+@pytest.mark.parametrize("model_name", ["inner-volume", "reversed-table"])
+def test_no_box_costlier_than_the_answer_is_decided(decided_boxes, model_name):
+    boxes, ships = _three_carton_world()
+    model = _models(boxes, ships, 0)[model_name]
+    cost = dict(zip(boxes.ids, model.box_costs(boxes).tolist()))
+    by_dims = {tuple(sorted(bx.inner.as_tuple())): bx.id for bx in boxes}
+    above_in_row = 0
+    for ship in ships:
+        decided_boxes.clear()
+        [[pick]] = cheapest_fitting_boxes([ship], [boxes], model)
+        answer = cost[boxes[pick].id]
+        assert max(cost[by_dims[d]] for d in decided_boxes) == answer
+        decided_boxes.clear()
+        compute_fit_matrix([ship], boxes)
+        above_in_row += sum(cost[by_dims[d]] > answer for d in decided_boxes)
+    assert above_in_row  # the whole row decides boxes above the answer
+
+
+@pytest.mark.parametrize("ship", [
+    make_shipment(1, [(2, 2, 2)]),
+    make_shipment(2, [(2, 2, 2), (2, 2, 1)]),
+    make_shipment(3, [(2, 2, 1), (2, 2, 1), (1, 1, 1)]),
+])
+def test_a_missing_cost_raises_only_when_its_box_fits(ship):
+    boxes = box_set((2, 2, 1), (2, 2, 3), (4, 4, 4), (5, 5, 5))  # ids 1..4
+    small, fits_last = 1, 4  # box 1 never fits; box 4 fits and is the dearest
+    full = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
+    table = BoxTableCost({k: v for k, v in full.items() if k != small})
+    assert cheapest_fitting_boxes([ship], [boxes], table) == [[1]]
+    pairs = PairTableCost({(ship.id, k): v for k, v in full.items() if k != small})
+    assert cheapest_fitting_boxes([ship], [boxes], pairs) == [[1]]
+    # box 2 fits more cheaply, yet the fitting box without a cost still raises
+    table = BoxTableCost({k: v for k, v in full.items() if k != fits_last})
+    with pytest.raises(DataError, match="no entry for box 4"):
+        cheapest_fitting_boxes([ship], [boxes], table)
+    pairs = PairTableCost({(ship.id, k): v for k, v in full.items() if k != fits_last})
+    with pytest.raises(DataError, match=f"shipment {ship.id}, box 4"):
+        cheapest_fitting_boxes([ship], [boxes], pairs)
+    with pytest.raises(DataError, match="invalid cost nan for shipment .*, box 4"):
+        cheapest_fitting_boxes([ship], [boxes], BoxTableCost({**full, 4: float("nan")}))
+
+
+def test_the_first_shipment_with_a_missing_cost_raises():
+    boxes = box_set((2, 2, 1), (3, 3, 3), (5, 5, 5))  # ids 1..3
+    multi = make_shipment(1, [(2, 2, 2), (2, 2, 1)])  # fits boxes 2 and 3
+    single = make_shipment(2, [(2, 2, 1)])  # fits every box
+    table = BoxTableCost({2: 2.0})
+    with pytest.raises(DataError, match="no entry for box 3"):
+        cheapest_fitting_boxes([multi, single], [boxes], table)
+    with pytest.raises(DataError, match="no entry for box 1"):
+        cheapest_fitting_boxes([single, multi], [boxes], table)
+    pairs = PairTableCost({(1, 2): 2.0, (2, 2): 2.0})
+    with pytest.raises(DataError, match="shipment 1, box 3"):
+        cheapest_fitting_boxes([multi, single], [boxes], pairs)
+    with pytest.raises(DataError, match="shipment 2, box 1"):
+        cheapest_fitting_boxes([single, multi], [boxes], pairs)
+
+
+def _time_out_on(monkeypatch, *dims):
+    """Make the search time out in the boxes of the given dims."""
+    timed_out = {tuple(sorted(d)) for d in dims}
+
+    def timing_out(prob, cfg):
+        if tuple(sorted(prob.box.as_tuple())) in timed_out:
+            return FitVerdict(Outcome.TIMED_OUT)
+        return solve_fit(prob, cfg)
+
+    monkeypatch.setattr(fitmatrix, "fits_stacking", lambda cartons, box: False)
+    monkeypatch.setattr(fitmatrix, "solve_fit", timing_out)
+
+
+def test_a_timed_out_box_that_nests_a_fitting_box_is_chosen(monkeypatch):
+    boxes = box_set((4, 4, 2), (6, 4, 3), (3, 3, 3))  # ids 1..3; 1 nests into 2
+    ship = make_shipment(1, [(2, 2, 2)] * 3)  # fits 1 and 2, not 3
+    _time_out_on(monkeypatch, (6, 4, 3))
+    cheap_big = BoxTableCost({1: 5.0, 2: 1.0, 3: 0.5})
+    [[pick]] = cheapest_fitting_boxes([ship], [boxes], cheap_big)
+    assert boxes[pick].id == 2
+    assert pick == _row_minimum([ship], boxes, cheap_big)[0]
+    mat, _ = compute_fit_matrix([ship], boxes)
+    assert pick in mat.rows[0] and not mat.timeouts  # the scan's nest fill sets it
+
+
+def test_a_timed_out_box_with_no_fitting_box_inside_is_passed_over(monkeypatch):
+    boxes = box_set((4, 4, 2), (6, 4, 3), (7, 3, 3))  # ids 1..3; 1 nests into 2 only
+    ship = make_shipment(1, [(2, 2, 2)] * 3)
+    _time_out_on(monkeypatch, (4, 4, 2), (6, 4, 3))
+    model = BoxTableCost({1: 3.0, 2: 1.0, 3: 2.0})
+    [[pick]] = cheapest_fitting_boxes([ship], [boxes], model)
+    assert boxes[pick].id == 3
+    assert pick == _row_minimum([ship], boxes, model)[0]

@@ -1,7 +1,11 @@
 """Source hygiene, checked with the standard library's ``ast`` only: no module
 under ``src/`` or ``tests/`` imports a name it never uses, and every package
-``__init__`` lists each name it imports in ``__all__``."""
+``__init__`` lists each name it imports in ``__all__``. Also: importing the
+package loads no process-pool machinery."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,15 @@ def test_the_checks_see_what_they_check():
     assert {n for n, _ in _imports(tree)} == {"os", "j", "Optional", "Any"}
     assert {n for n, _ in _imports(tree)} - _used_names(tree) == {"j"}
     assert _dunder_all(tree) == {"Any"}
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # Only a fit scan with threads > 1 needs multiprocessing; a single-process
+    # run should not pay for importing it.
+    code = ("import sys, boxsuite.cli, boxsuite.pipeline; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

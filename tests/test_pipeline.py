@@ -1,11 +1,14 @@
 """Recommendation pipeline, validation metrics, comparison, fine-tuning."""
+import collections
 import itertools
 import json
 
 import pytest
 
+from boxsuite import fitmatrix
 from boxsuite.cost import BoxTableCost
 from boxsuite.fitmatrix import compute_fit_matrix
+from boxsuite.fitting import solve_fit
 from boxsuite.model import BoxSet, CandidateBox, Carton, DataError, Dims3, Shipment
 from boxsuite.pipeline import (
     NO_FEASIBLE_MESSAGE,
@@ -264,6 +267,48 @@ class TestValidate:
         assignment = pack_into_suite(shipments, suite_boxes, model=flipped)
         # box 3 is now cheaper wherever it fits
         assert assignment == [1, 1, 1]
+
+
+def _shared_box_world():
+    boxes = BoxSet([
+        CandidateBox(id=1, inner=Dims3(4, 4, 2)),
+        CandidateBox(id=2, inner=Dims3(8, 3, 2)),
+        CandidateBox(id=3, inner=Dims3(9, 3, 3)),
+    ])
+    trio = [Carton(Dims3(2, 2, 2)), Carton(Dims3(2, 2, 2)), Carton(Dims3(2, 2, 1))]
+    shipments = [Shipment(id=20, cartons=tuple(trio)),
+                 Shipment(id=21, cartons=tuple(reversed(trio)))]
+    return boxes, shipments
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(carton multiset, box) of every branch-and-bound call; stacking is
+    disabled so that every three-carton decision reaches the search."""
+    seen = collections.Counter()
+
+    def counting(prob, cfg):
+        cartons = tuple(sorted(c.dims.as_tuple() for c in prob.cartons))
+        seen[cartons, tuple(sorted(prob.box.as_tuple()))] += 1
+        return solve_fit(prob, cfg)
+
+    monkeypatch.setattr(fitmatrix, "fits_stacking", lambda cartons, box: False)
+    monkeypatch.setattr(fitmatrix, "solve_fit", counting)
+    return seen
+
+
+class TestSharedScanner:
+    def test_compare_decides_a_shared_box_once_per_carton_multiset(self, searches):
+        boxes, shipments = _shared_box_world()
+        table = compare_suites([[1, 2], [1, 3]], shipments, boxes)
+        assert [r.total_cost for r in table.rows] == [64.0, 64.0]
+        assert list(searches.values()) == [1]  # box 1, shared, for the one multiset
+
+    def test_validate_decides_a_box_once_for_both_sets(self, searches):
+        boxes, shipments = _shared_box_world()
+        pair = validate([1, 2], boxes, shipments[:1], shipments[1:])
+        assert pair.a == pair.b and pair.a.uncovered == 0
+        assert list(searches.values()) == [1]
 
 
 class TestCompare:
