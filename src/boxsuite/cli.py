@@ -246,7 +246,7 @@ def cmd_fitone(args: argparse.Namespace) -> int:
         raise DataError("fitone expects exactly one shipment in the file")
     _, defs, _ = _load_suite_file(args.suite)
     suite_boxes = BoxSet(defs)
-    [[pick]] = cheapest_fitting_boxes(shipments, [suite_boxes], InnerVolumeCost())
+    [pick] = cheapest_fitting_boxes(shipments, suite_boxes, InnerVolumeCost())
     if pick is None:
         print("no suite box fits this shipment")
         return 0

@@ -55,7 +55,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -778,66 +778,60 @@ class _ShipmentScanner:
             row |= up[j]
         return timeouts
 
-    def cheapest(self, shipments: Sequence[Shipment], suite: BoxSet,
-                 model) -> list[Optional[int]]:
-        """Each shipment's cheapest fitting box of ``suite``, whose boxes are
-        all among the scanner's, as an index into ``suite``; see
-        ``cheapest_fitting_boxes``."""
-        cols = np.array([self.boxes.index_of(bx.id) for bx in suite], dtype=np.intp)
+    def cheapest(self, shipments: Sequence[Shipment], model) -> list[Optional[int]]:
+        """Each shipment's cheapest fitting box; see ``cheapest_fitting_boxes``."""
         box_costs = getattr(model, "box_costs", None)
         if box_costs is None:
             order = missing = None
         else:
-            costs = np.asarray(box_costs(suite), dtype=np.float64)
+            costs = np.asarray(box_costs(self.boxes), dtype=np.float64)
             missing = np.isnan(costs)
             order = np.argsort(costs, kind="stable")  # NaN last
             order = order[~missing[order]]
-            rank = np.full(len(suite), order.size)  # visit position; missing last
-            rank[order] = np.arange(order.size)
-            by_rank = np.append(order, -1)
         picks: list[Optional[int]] = []
         for a in range(0, len(shipments), _SCAN_BLOCK):
             block = shipments[a:a + _SCAN_BLOCK]
             j0 = np.searchsorted(self.boxes.volumes, [liquid_volume(s) for s in block])
             single = [i for i, s in enumerate(block) if len(s.cartons) == 1]
-            rows = {}  # single-carton row, or its (cheapest, missing-cost) fitting boxes
+            found = {}  # single-carton shipment -> (cheapest, missing-cost) box
             if single:
-                fit = self._single_rows([block[i].cartons[0] for i in single],
-                                        j0[single])[:, cols]
+                fit = self._single_rows([block[i].cartons[0] for i in single], j0[single])
                 if order is None:
-                    rows = dict(zip(single, fit))
-                else:  # all rows at once; -1 where there is no such box
-                    best = by_rank[np.where(fit, rank, order.size).min(axis=1)]
+                    found = {i: _pick(block[i], row, lambda k: True, self.boxes, model,
+                                      None, None) for i, row in zip(single, fit)}
+                else:  # _pick's answer for every row at once
+                    ranked = np.c_[fit[:, order], np.ones(len(fit), dtype=bool)]
+                    best = np.append(order, -1)[ranked.argmax(axis=1)]
                     bad = fit & missing
                     lost = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
-                    rows = dict(zip(single, zip(best.tolist(), lost.tolist())))
+                    found = dict(zip(single, zip(best.tolist(), lost.tolist())))
             for i, s in enumerate(block):
-                if i not in rows:
-                    picks.append(self._first_fit(s, int(j0[i]), suite, cols, model,
-                                                 order, missing))
-                elif order is None:
-                    picks.append(_pick(s, rows[i], lambda k: True, suite, model, None, None))
-                else:
-                    k, lost = rows[i]
-                    if lost >= 0:
-                        _raise_cost_error(model, s, suite[lost])
-                    picks.append(k if k >= 0 else None)
+                k, lost = found[i] if i in found else self._first_fit(
+                    s, int(j0[i]), model, order, missing)
+                if lost >= 0:
+                    from boxsuite.cost import _pair_cost  # boxsuite.cost imports this module
+
+                    _pair_cost(model, s, self.boxes[lost])  # raises the lookup's error
+                    raise DataError(f"box_costs has no cost for box {self.boxes[lost].id}, "
+                                    "yet cost_for gives one")
+                picks.append(k if k >= 0 else None)
         return picks
 
-    def _first_fit(self, shipment: Shipment, j0: int, suite: BoxSet, cols: np.ndarray,
-                   model, order: Optional[np.ndarray], missing: Optional[np.ndarray]
-                   ) -> Optional[int]:
-        """Cheapest fitting box of ``suite`` for two or more cartons, deciding
-        boxes in cost order until one fits."""
+    def _first_fit(self, shipment: Shipment, j0: int, model, order: Optional[np.ndarray],
+                   missing: Optional[np.ndarray]) -> tuple[int, int]:
+        """``_pick`` for two or more cartons: boxes are decided in cost
+        order until one fits."""
+        boxes = self.boxes
         cartons = shipment.cartons
         pinned, nec = self._necessity(cartons)
         up = self.nests.up_ho if pinned else self.nests.up_free
-        cand = (cols >= j0) & nec[cols]
+        cand = nec
+        cand[:j0] = False
         own: dict[int, Outcome] = {}
 
         def verdict(k: int) -> Outcome:
             if k not in own:
-                box_dims = suite[k].inner.as_tuple()
+                box_dims = boxes[k].inner.as_tuple()
                 if fits_stacking(cartons, Dims3(*_box_key(box_dims, True))):
                     own[k] = Outcome.FIT
                 else:
@@ -848,26 +842,27 @@ class _ShipmentScanner:
             out = verdict(k)
             if out is Outcome.TIMED_OUT:
                 # A timed-out box fits when a box nesting into it does.
-                nested = np.flatnonzero(up[cols, cols[k]] & cand).tolist()
+                nested = np.flatnonzero(up[:, k] & cand).tolist()
                 return any(verdict(i) is Outcome.FIT for i in nested if i != k)
             return out is Outcome.FIT
 
-        return _pick(shipment, cand, fits, suite, model, order, missing)
+        return _pick(shipment, cand, fits, boxes, model, order, missing)
 
 
-def _pick(shipment: Shipment, cand: np.ndarray, fits, suite: BoxSet, model,
-          order: Optional[np.ndarray], missing: Optional[np.ndarray]) -> Optional[int]:
-    """The first candidate box (``cand``, a mask over ``suite``) in (cost,
-    index) order for which ``fits`` holds, or None.
+def _pick(shipment: Shipment, cand: np.ndarray, fits, boxes: BoxSet, model,
+          order: Optional[np.ndarray], missing: Optional[np.ndarray]) -> tuple[int, int]:
+    """The first candidate box (``cand``, a mask over ``boxes``) in (cost,
+    index) order for which ``fits`` holds, and the first fitting candidate
+    whose cost lookup fails; -1 for none.
 
-    ``order`` and ``missing`` are the suite's visit order and missing costs
+    ``order`` and ``missing`` are the boxes' visit order and missing costs
     under a box-only model; when None, costs come from ``model.cost_for``.
-    A candidate whose cost lookup fails is decided before the others, in
-    index order, and raises the lookup's error if it fits.
+    Candidates whose cost lookup fails are decided before the others, in
+    index order, and the search stops at the first that fits.
     """
     if order is None:
         idx = np.flatnonzero(cand)
-        costs = np.array([_cost_or_nan(model, shipment, suite[k]) for k in idx.tolist()])
+        costs = np.array([_cost_or_nan(model, shipment, boxes[k]) for k in idx.tolist()])
         lost = np.isnan(costs)
         bad = idx[lost]
         visit = idx[~lost][np.argsort(costs[~lost], kind="stable")]
@@ -876,26 +871,18 @@ def _pick(shipment: Shipment, cand: np.ndarray, fits, suite: BoxSet, model,
         visit = order[cand[order]]
     for k in bad.tolist():
         if fits(k):
-            _raise_cost_error(model, shipment, suite[k])
+            return -1, k
     for k in visit.tolist():
         if fits(k):
-            return k
-    return None
+            return k, -1
+    return -1, -1
 
 
 def _cost_or_nan(model, shipment: Shipment, box) -> float:
     try:
         return float(model.cost_for(shipment, box))
-    except DataError:  # raised again by _raise_cost_error if the box fits
+    except DataError:  # raised again if the box fits
         return math.nan
-
-
-def _raise_cost_error(model, shipment: Shipment, box) -> NoReturn:
-    """Raise the error of a fitting box's failed cost lookup: the model's
-    own, or a DataError for a NaN cost."""
-    cost = model.cost_for(shipment, box)
-    raise DataError(f"cost model produced invalid cost {cost!r} for shipment "
-                    f"{shipment.id}, box {box.id}")
 
 
 _SCAN_BLOCK = 1024  # shipments whose rows are held at once
@@ -957,10 +944,10 @@ def compute_fit_matrix(
     return matrix, matrix.packables()
 
 
-def cheapest_fitting_boxes(shipments: Sequence[Shipment], suites: Sequence[BoxSet],
-                           model) -> list[list[Optional[int]]]:
-    """For each suite, each shipment's cheapest fitting box as an index into
-    that suite, or None when no box of it fits.
+def cheapest_fitting_boxes(shipments: Sequence[Shipment], suite: BoxSet,
+                           model) -> list[Optional[int]]:
+    """Each shipment's cheapest fitting box as an index into ``suite``, or
+    None when no box of it fits.
 
     ``model`` is a cost model (``boxsuite.cost.CostModel``). The answer is
     the ``compute_fit_matrix`` row's minimum by ``(cost, index)``, found
@@ -978,19 +965,17 @@ def cheapest_fitting_boxes(shipments: Sequence[Shipment], suites: Sequence[BoxSe
     - A candidate whose cost lookup fails (``cost_for`` raises DataError or
       gives NaN, or ``box_costs`` gives NaN) is decided first, whatever its
       place in the order, and raises only if it fits: the lookup's own
-      error, or a DataError naming the NaN. As with the row minimum, the
-      first shipment with such a box raises, for its lowest such index.
+      error, or ``boxsuite.cost``'s invalid-cost DataError. As with the row
+      minimum, the first shipment with such a box raises, for its lowest
+      such index.
 
     The rule treats nesting as transitive. Where box dims lie within the
     tolerance of each other it is not, and the scan's row can then hold a
     box by nest fill alone; this routine counts a box only by its own
     verdict or, on a timeout, by a directly nested box's.
 
-    One scanner, so one memo, serves every suite: it runs over the union of
-    their boxes, whose longest box sets the necessity tolerance.
+    One scanner, so one memo, serves all the shipments: a carton multiset
+    decided in a box for one shipment is not decided again for another.
     """
-    if not suites:
-        return []
-    union = BoxSet(dict.fromkeys(itertools.chain.from_iterable(suites)))
-    scanner = _ShipmentScanner(union, compute_nest_sets(union), FitScanConfig())
-    return [scanner.cheapest(shipments, suite, model) for suite in suites]
+    scanner = _ShipmentScanner(suite, compute_nest_sets(suite), FitScanConfig())
+    return scanner.cheapest(shipments, model)

@@ -16,12 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from boxsuite.cost import CostModel, InnerVolumeCost, build_cost_matrix
-from boxsuite.fitmatrix import (
-    FitMatrix,
-    PackableSet,
-    cheapest_fitting_boxes,
-    compute_fit_matrix,
-)
+from boxsuite.fitmatrix import FitMatrix, PackableSet, cheapest_fitting_boxes, compute_fit_matrix
 from boxsuite.model import BoxSet, CandidateBox, DataError, Dims3, Shipment, liquid_volume
 from boxsuite.pmedian import (
     GraspParams,
@@ -387,7 +382,7 @@ def pack_into_suite(shipments: Sequence[Shipment], suite_boxes: BoxSet,
     decided.
     """
     model = model if model is not None else InnerVolumeCost()
-    return cheapest_fitting_boxes(shipments, [suite_boxes], model)[0]
+    return cheapest_fitting_boxes(shipments, suite_boxes, model)
 
 
 def _validation_report(shipments: Sequence[Shipment], suite_boxes: BoxSet,
@@ -434,13 +429,13 @@ def validate(suite_ids: Sequence[int], boxes: BoxSet,
     relative divergence between the two sets exceeds warn_threshold is
     flagged, suggesting the suite was tuned on an unrepresentative sample.
     Each shipment goes to its cheapest fitting suite box, found by visiting
-    boxes in cost order (``cheapest_fitting_boxes``); both sets are packed
-    by one scanner, so a carton multiset and box decided for one set is not
-    decided again for the other.
+    boxes in cost order (``pack_into_suite``); both sets are packed in one
+    call, so a carton multiset and box decided for one set is not decided
+    again for the other.
     """
     model = model if model is not None else InnerVolumeCost()
     suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in suite_ids])
-    picks = cheapest_fitting_boxes([*shipments_a, *shipments_b], [suite_boxes], model)[0]
+    picks = pack_into_suite([*shipments_a, *shipments_b], suite_boxes, model)
     n_a = len(shipments_a)
     rep_a = _validation_report(shipments_a, suite_boxes, picks[:n_a], model)
     rep_b = _validation_report(shipments_b, suite_boxes, picks[n_a:], model)
@@ -477,18 +472,16 @@ def compare_suites(suites: Sequence[Sequence[int]], shipments: Sequence[Shipment
     """Total packing cost of each suite; reductions relative to the first.
 
     Each shipment goes to its cheapest fitting box of the suite, found by
-    visiting boxes in cost order (``cheapest_fitting_boxes``). One scanner
-    over the union of the suites' boxes packs every suite, so a box shared
-    by several suites is decided once per carton multiset.
+    visiting boxes in cost order (``pack_into_suite``).
     A suite leaving any shipment uncovered is marked infeasible and excluded
     from the reduction column.
     """
     model = model if model is not None else InnerVolumeCost()
-    suite_sets = [BoxSet([boxes.boxes[boxes.index_of(i)] for i in ids]) for ids in suites]
     rows = []
     base_cost: Optional[float] = None
-    for ids, suite_boxes, assignment in zip(
-            suites, suite_sets, cheapest_fitting_boxes(shipments, suite_sets, model)):
+    for ids in suites:
+        suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in ids])
+        assignment = pack_into_suite(shipments, suite_boxes, model)
         uncovered = sum(1 for j in assignment if j is None)
         total = sum(model.cost_for(shipments[i], suite_boxes.boxes[j])
                     for i, j in enumerate(assignment) if j is not None)

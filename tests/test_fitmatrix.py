@@ -843,20 +843,11 @@ def test_cheapest_fitting_boxes_match_the_row_minimum(model_name):
         boxes, ships = _random_world(seed, n_boxes=10, n_ships=20, dim_max=6)
         model = _models(boxes, ships, seed)[model_name]
         expected = _row_minimum(ships, boxes, model)
-        assert cheapest_fitting_boxes(ships, [boxes], model) == [expected]
+        assert cheapest_fitting_boxes(ships, boxes, model) == expected
         picks += expected
         sizes |= {len(s.cartons) for s in ships}
     assert None in picks and any(j is not None for j in picks)  # some shipments uncovered
     assert sizes == {1, 2, 3, 4, 5}
-
-
-@pytest.mark.parametrize("model_name", ["inner-volume", "reversed-table", "pair-table"])
-def test_cheapest_fitting_boxes_per_suite_match_each_suites_row_minimum(model_name):
-    boxes, ships = _random_world(77, n_boxes=12, n_ships=20, dim_max=6)
-    model = _models(boxes, ships, 77)[model_name]
-    suites = [BoxSet(boxes.boxes[0::2]), BoxSet(boxes.boxes[1::3]), BoxSet(boxes.boxes[6:])]
-    got = cheapest_fitting_boxes(ships, suites, model)
-    assert got == [_row_minimum(ships, suite, model) for suite in suites]
 
 
 def _three_carton_world():
@@ -891,7 +882,7 @@ def test_no_box_costlier_than_the_answer_is_decided(decided_boxes, model_name):
     above_in_row = 0
     for ship in ships:
         decided_boxes.clear()
-        [[pick]] = cheapest_fitting_boxes([ship], [boxes], model)
+        [pick] = cheapest_fitting_boxes([ship], boxes, model)
         answer = cost[boxes[pick].id]
         assert max(cost[by_dims[d]] for d in decided_boxes) == answer
         decided_boxes.clear()
@@ -910,18 +901,18 @@ def test_a_missing_cost_raises_only_when_its_box_fits(ship):
     small, fits_last = 1, 4  # box 1 never fits; box 4 fits and is the dearest
     full = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
     table = BoxTableCost({k: v for k, v in full.items() if k != small})
-    assert cheapest_fitting_boxes([ship], [boxes], table) == [[1]]
+    assert cheapest_fitting_boxes([ship], boxes, table) == [1]
     pairs = PairTableCost({(ship.id, k): v for k, v in full.items() if k != small})
-    assert cheapest_fitting_boxes([ship], [boxes], pairs) == [[1]]
+    assert cheapest_fitting_boxes([ship], boxes, pairs) == [1]
     # box 2 fits more cheaply, yet the fitting box without a cost still raises
     table = BoxTableCost({k: v for k, v in full.items() if k != fits_last})
     with pytest.raises(DataError, match="no entry for box 4"):
-        cheapest_fitting_boxes([ship], [boxes], table)
+        cheapest_fitting_boxes([ship], boxes, table)
     pairs = PairTableCost({(ship.id, k): v for k, v in full.items() if k != fits_last})
     with pytest.raises(DataError, match=f"shipment {ship.id}, box 4"):
-        cheapest_fitting_boxes([ship], [boxes], pairs)
+        cheapest_fitting_boxes([ship], boxes, pairs)
     with pytest.raises(DataError, match="invalid cost nan for shipment .*, box 4"):
-        cheapest_fitting_boxes([ship], [boxes], BoxTableCost({**full, 4: float("nan")}))
+        cheapest_fitting_boxes([ship], boxes, BoxTableCost({**full, 4: float("nan")}))
 
 
 def test_the_first_shipment_with_a_missing_cost_raises():
@@ -930,14 +921,14 @@ def test_the_first_shipment_with_a_missing_cost_raises():
     single = make_shipment(2, [(2, 2, 1)])  # fits every box
     table = BoxTableCost({2: 2.0})
     with pytest.raises(DataError, match="no entry for box 3"):
-        cheapest_fitting_boxes([multi, single], [boxes], table)
+        cheapest_fitting_boxes([multi, single], boxes, table)
     with pytest.raises(DataError, match="no entry for box 1"):
-        cheapest_fitting_boxes([single, multi], [boxes], table)
+        cheapest_fitting_boxes([single, multi], boxes, table)
     pairs = PairTableCost({(1, 2): 2.0, (2, 2): 2.0})
     with pytest.raises(DataError, match="shipment 1, box 3"):
-        cheapest_fitting_boxes([multi, single], [boxes], pairs)
+        cheapest_fitting_boxes([multi, single], boxes, pairs)
     with pytest.raises(DataError, match="shipment 2, box 1"):
-        cheapest_fitting_boxes([single, multi], [boxes], pairs)
+        cheapest_fitting_boxes([single, multi], boxes, pairs)
 
 
 def _time_out_on(monkeypatch, *dims):
@@ -958,7 +949,7 @@ def test_a_timed_out_box_that_nests_a_fitting_box_is_chosen(monkeypatch):
     ship = make_shipment(1, [(2, 2, 2)] * 3)  # fits 1 and 2, not 3
     _time_out_on(monkeypatch, (6, 4, 3))
     cheap_big = BoxTableCost({1: 5.0, 2: 1.0, 3: 0.5})
-    [[pick]] = cheapest_fitting_boxes([ship], [boxes], cheap_big)
+    [pick] = cheapest_fitting_boxes([ship], boxes, cheap_big)
     assert boxes[pick].id == 2
     assert pick == _row_minimum([ship], boxes, cheap_big)[0]
     mat, _ = compute_fit_matrix([ship], boxes)
@@ -970,6 +961,6 @@ def test_a_timed_out_box_with_no_fitting_box_inside_is_passed_over(monkeypatch):
     ship = make_shipment(1, [(2, 2, 2)] * 3)
     _time_out_on(monkeypatch, (4, 4, 2), (6, 4, 3))
     model = BoxTableCost({1: 3.0, 2: 1.0, 3: 2.0})
-    [[pick]] = cheapest_fitting_boxes([ship], [boxes], model)
+    [pick] = cheapest_fitting_boxes([ship], boxes, model)
     assert boxes[pick].id == 3
     assert pick == _row_minimum([ship], boxes, model)[0]

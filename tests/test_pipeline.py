@@ -269,18 +269,6 @@ class TestValidate:
         assert assignment == [1, 1, 1]
 
 
-def _shared_box_world():
-    boxes = BoxSet([
-        CandidateBox(id=1, inner=Dims3(4, 4, 2)),
-        CandidateBox(id=2, inner=Dims3(8, 3, 2)),
-        CandidateBox(id=3, inner=Dims3(9, 3, 3)),
-    ])
-    trio = [Carton(Dims3(2, 2, 2)), Carton(Dims3(2, 2, 2)), Carton(Dims3(2, 2, 1))]
-    shipments = [Shipment(id=20, cartons=tuple(trio)),
-                 Shipment(id=21, cartons=tuple(reversed(trio)))]
-    return boxes, shipments
-
-
 @pytest.fixture
 def searches(monkeypatch):
     """(carton multiset, box) of every branch-and-bound call; stacking is
@@ -297,18 +285,14 @@ def searches(monkeypatch):
     return seen
 
 
-class TestSharedScanner:
-    def test_compare_decides_a_shared_box_once_per_carton_multiset(self, searches):
-        boxes, shipments = _shared_box_world()
-        table = compare_suites([[1, 2], [1, 3]], shipments, boxes)
-        assert [r.total_cost for r in table.rows] == [64.0, 64.0]
-        assert list(searches.values()) == [1]  # box 1, shared, for the one multiset
-
-    def test_validate_decides_a_box_once_for_both_sets(self, searches):
-        boxes, shipments = _shared_box_world()
-        pair = validate([1, 2], boxes, shipments[:1], shipments[1:])
-        assert pair.a == pair.b and pair.a.uncovered == 0
-        assert list(searches.values()) == [1]
+def test_validate_decides_a_box_once_for_both_sets(searches):
+    boxes = BoxSet([CandidateBox(id=1, inner=Dims3(4, 4, 2)),
+                    CandidateBox(id=2, inner=Dims3(8, 3, 2))])
+    trio = [Carton(Dims3(2, 2, 2)), Carton(Dims3(2, 2, 2)), Carton(Dims3(2, 2, 1))]
+    pair = validate([1, 2], boxes, [Shipment(id=20, cartons=tuple(trio))],
+                    [Shipment(id=21, cartons=tuple(reversed(trio)))])
+    assert pair.a == pair.b and pair.a.uncovered == 0
+    assert list(searches.values()) == [1]  # box 1, for the one carton multiset
 
 
 class TestCompare:
