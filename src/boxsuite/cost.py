@@ -7,6 +7,11 @@ is one more than the sum of per-row maxima over fitting costs, so any suite
 covering all packables (locked boxes included) costs strictly less than a
 single penalty entry; coverage failures and lock violations are therefore
 detectable from the objective value alone.
+
+The matrix is kept as its distinct rows, each with its multiplicity, and a
+map from every row to its distinct row. Rows are grouped straight from the
+fit matrix's CSR slices, so the full matrix is never built: most packable
+shipments repeat the fit pattern and costs of an earlier one.
 """
 from __future__ import annotations
 
@@ -38,18 +43,14 @@ class CostModel(Protocol):
 
     A model whose cost depends on the box alone may also define
     ``box_costs(boxes) -> np.ndarray``, one cost per box (NaN where it has
-    none); ``build_cost_matrix`` then fills whole rows at once.
+    none); ``build_cost_matrix`` then prices every fitting pair in one gather.
     """
-
-    model_id: str
 
     def cost_for(self, shipment: Shipment, box: CandidateBox) -> float: ...
 
 
 class InnerVolumeCost:
     """Ship each order at the box's inner volume; the paper-style default."""
-
-    model_id = "inner-volume"
 
     def cost_for(self, shipment: Shipment, box: CandidateBox) -> float:
         return box.volume
@@ -60,8 +61,6 @@ class InnerVolumeCost:
 
 class BoxTableCost:
     """Per-box cost table (outer volume, material weight, unit price, ...)."""
-
-    model_id = "box-table"
 
     def __init__(self, table: dict[int, float]):
         self.table = dict(table)
@@ -79,8 +78,6 @@ class BoxTableCost:
 
 class PairTableCost:
     """Externally supplied cost per (shipment, box) pair."""
-
-    model_id = "pair-table"
 
     def __init__(self, table: dict[tuple[int, int], float]):
         self.table = dict(table)
@@ -132,22 +129,33 @@ def _is_float(s: str) -> bool:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    C: np.ndarray  # (I_hat + k) x J
+    """The distinct rows of the penalized cost matrix, with multiplicities.
+
+    The full matrix has one row per packable shipment (in scan order), then
+    one per locked box. ``C`` holds its distinct rows in first-occurrence
+    order, ``w[r]`` counts the full rows equal to ``C[r]``, and ``rows[i]`` is
+    the distinct row of full row i.
+    """
+
+    C: np.ndarray  # distinct rows x J
+    w: np.ndarray  # multiplicity of each distinct row
+    rows: np.ndarray  # distinct row of each real row, then of each lock row
     gamma: float
     fake_rows: int
     locked: tuple[int, ...]  # box indices, one per fake row
     row_shipment_ids: tuple[int, ...]  # real rows only
-    model_id: str = "inner-volume"
 
     @property
     def n_real(self) -> int:
-        return self.C.shape[0] - self.fake_rows
+        return len(self.row_shipment_ids)
 
     def __post_init__(self):
         if self.fake_rows != len(self.locked):
             raise DataError("one fake row per locked box required")
-        if len(self.row_shipment_ids) != self.C.shape[0] - self.fake_rows:
+        if len(self.row_shipment_ids) != len(self.rows) - self.fake_rows:
             raise DataError("row id count does not match real row count")
+        if self.w.shape != (self.C.shape[0],):
+            raise DataError("one weight per distinct row required")
 
 
 def build_cost_matrix(
@@ -157,15 +165,24 @@ def build_cost_matrix(
     model: Optional[CostModel] = None,
     locked: Sequence[int] = (),
 ) -> CostMatrix:
-    """Assemble the penalized cost matrix from the fit matrix and a cost model.
+    """Assemble the penalized cost matrix's distinct rows from the fit matrix
+    and a cost model.
 
     Real rows are the fit matrix's nonempty rows in order. Model costs must
     be nonnegative and finite; under that precondition no fitting entry can
-    reach the penalty (the penalty exceeds the sum of all per-row maxima), so
+    exceed the penalty (the penalty exceeds the sum of all per-row maxima), so
     the sub-penalty structure the coverage argument needs holds by
-    construction. Only fitting entries are asked for, so a box-only model
-    (one with ``box_costs``) is vectorized per row and a box no packable
-    shipment fits needs no cost.
+    construction. Only fitting entries are asked for, each once, in CSR order,
+    so the first invalid one raises; a box-only model (one with
+    ``box_costs``) is priced in one gather and a box no packable shipment
+    fits needs no cost.
+
+    A row is the penalty everywhere but its fit pattern, so two rows are equal
+    exactly when their patterns and the costs on them are. Rows are grouped by
+    the bytes of those two slices, in first-occurrence order, and only the
+    distinct rows are written out dense. A lock row is the pattern of its box
+    at cost 0.0, so it merges with an earlier real row whose only fitting box
+    is that locked box at cost 0.0 (not at -0.0, whose bytes differ).
     """
     if model is None:
         model = InnerVolumeCost()
@@ -177,35 +194,56 @@ def build_cost_matrix(
             raise DataError(f"locked box index {t} out of range")
 
     W = fit.packables().W
-    I_hat, J = len(W), len(boxes)
-    # NaN marks the cells no fitting cost is written to until gamma is known.
-    C = np.full((I_hat + len(locked), J), np.nan)
-    row_max = np.zeros(I_hat)
+    packable = np.array(W, dtype=np.int64)
+    starts, ends = fit.indptr[packable], fit.indptr[packable + 1]
+    cols = fit.indices  # every set bit lies in a packable row
     box_costs = getattr(model, "box_costs", None)
-    if box_costs is not None:
+    if box_costs is None:
+        costs = np.fromiter((_pair_cost(model, shipments[i], boxes[j])
+                             for i in W for j in fit.row(i).tolist()),
+                            dtype=np.float64, count=cols.size)
+    else:
         vec = np.asarray(box_costs(boxes), dtype=np.float64)
         valid = np.isfinite(vec) & (vec >= 0)
-    for r, i in enumerate(W):
-        cols = fit.row(i)
-        if box_costs is None:
-            costs = np.array([_pair_cost(model, shipments[i], boxes[j])
-                              for j in cols.tolist()])
-        else:
-            if not valid[cols].all():
-                # The first bad entry in row order raises the per-pair error.
-                _pair_cost(model, shipments[i], boxes[int(cols[np.argmin(valid[cols])])])
-            costs = vec[cols]
-        C[r, cols] = costs
-        row_max[r] = costs.max()
+        if not valid.all():
+            fitting_valid = valid[cols]
+            if not fitting_valid.all():
+                # The first bad entry in CSR order raises the per-pair error.
+                k = int(fitting_valid.argmin())
+                i = int(np.searchsorted(fit.indptr, k, side="right")) - 1
+                _pair_cost(model, shipments[i], boxes[int(cols[k])])
+        costs = vec[cols]
+    row_max = np.maximum.reduceat(costs, starts)
     gamma = float(row_max.sum()) + 1.0
-    for row in C[:I_hat]:
-        row[np.isnan(row)] = gamma
-    C[I_hat:] = gamma
+    if (row_max == gamma).any():
+        # A cost the penalty rounds to reads as the penalty, as a cell the
+        # row does not fit does; leave it out of the row's key.
+        below = costs != gamma
+        kept = np.concatenate(([0], np.cumsum(below)))
+        starts, ends = kept[starts], kept[ends]
+        cols, costs = cols[below], costs[below]
+
+    first: dict[tuple[bytes, bytes], int] = {}
+    rows = np.empty(len(W) + len(locked), dtype=np.int64)
+    spans = []  # (start, end) of each distinct real row
+    for r, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        rows[r] = d = first.setdefault((cols[a:b].tobytes(), costs[a:b].tobytes()),
+                                       len(first))
+        if d == len(spans):
+            spans.append((a, b))
+    zero = np.zeros(1).tobytes()
     for f, t in enumerate(locked):
-        C[I_hat + f, t] = 0.0
+        rows[len(W) + f] = first.setdefault(
+            (np.array([t], dtype=cols.dtype).tobytes(), zero), len(first))
+    C = np.full((len(first), len(boxes)), gamma)
+    for r, (a, b) in enumerate(spans):
+        C[r, cols[a:b]] = costs[a:b]
+    for f, t in enumerate(locked):
+        C[rows[len(W) + f], t] = 0.0  # an earlier real row's cell is 0.0 already
+    w = np.bincount(rows).astype(np.float64)
     ids = tuple(shipments[i].id for i in W)
-    return CostMatrix(C=C, gamma=gamma, fake_rows=len(locked), locked=locked,
-                      row_shipment_ids=ids, model_id=getattr(model, "model_id", "?"))
+    return CostMatrix(C=C, w=w, rows=rows, gamma=gamma, fake_rows=len(locked),
+                      locked=locked, row_shipment_ids=ids)
 
 
 def _pair_cost(model: CostModel, shipment: Shipment, box: CandidateBox) -> float:

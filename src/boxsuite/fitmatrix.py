@@ -191,31 +191,6 @@ class PackableSet:
     def I_hat(self) -> int:
         return len(self.W)
 
-    @property
-    def fitting_boxes(self) -> Mapping[int, tuple[int, ...]]:
-        """Read-only map from each packable shipment to its fitting box indices."""
-        return _FittingBoxes(self.W, self.fit)
-
-
-class _FittingBoxes(Mapping):
-    def __init__(self, W: tuple[int, ...], fit: FitMatrix):
-        self._W = W
-        self._fit = fit
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self._fit.n_shipments:
-            raise KeyError(i)
-        row = self._fit.row(i)
-        if not row.size:
-            raise KeyError(i)
-        return tuple(row.tolist())
-
-    def __iter__(self):
-        return iter(self._W)
-
-    def __len__(self) -> int:
-        return len(self._W)
-
 
 class FitMatrix:
     """Sparse boolean shipment-by-box feasibility matrix in CSR form.

@@ -24,7 +24,6 @@ from boxsuite.pmedian import (
     SolveResult,
     Suite,
     check_feasible,
-    collapse_rows,
     drop_dominated_columns,
     extract_assignment,
     greedy_construct,
@@ -207,15 +206,17 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
     """Pick the p-box suite minimizing total assignment cost.
 
     Stages: nest-aware fit scan (skipped when a precomputed fit matrix is
-    supplied), cost matrix with lock penalties, the configured solver on the
-    matrix's distinct rows (identical rows merged into one weighted customer,
-    which changes no objective) and undominated columns, feasibility check
-    against the penalty level, and the packing report.
+    supplied), the cost matrix with lock penalties built as its distinct rows
+    (shipments with equal fit patterns and costs are one customer weighted by
+    their count, which changes no objective; see ``build_cost_matrix``), the
+    configured solver on those rows and the undominated columns, feasibility
+    check against the penalty level, and the packing report.
     A box is dominated when another box costs no more on every distinct row,
     lock rows included (so a locked box, the only zero of its lock row, never
     is); dropping it leaves the optimum unchanged, and rows that coincide on
     the kept boxes are merged again. The solver's suite is mapped back to box
-    indices, and the assignment and report are taken on the full matrix.
+    indices; the assignment is taken on the distinct rows and mapped to every
+    packable shipment through the row map, and the report is built from it.
     When at most p boxes are undominated, the suite is all of them plus the
     lowest-index dominated boxes, and no solver runs.
     An empty suite is a legitimate outcome: it means no p-subset containing
@@ -234,7 +235,7 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
     model = run.model if run.model is not None else InnerVolumeCost()
     cm = build_cost_matrix(shipments, fit, boxes, model=model,
                            locked=boxes.locked)
-    if cm.C.shape[0] == 0:
+    if len(cm.rows) == 0:
         # No packable shipments and no locks: every suite covers vacuously at
         # zero cost, so return the lexicographically first one.
         suite = Suite(range(run.p))
@@ -249,16 +250,16 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
         if run.out_dir is not None:
             write_outputs(outcome, run, boxes, run.out_dir)
         return outcome
-    inst, rows = collapse_rows(cm.C, run.p)
+    inst = PMedianInstance(cm.C, run.p, cm.w)
     result, reduced = _solve(inst, run)
     suite = check_feasible(result, cm.gamma)
     if suite is None:
         outcome = RecommendOutcome(
             suite=None, box_ids=(), report=None, result=result, gamma=cm.gamma,
             assignment=None, packables=packables, message=NO_FEASIBLE_MESSAGE,
-            rows=cm.C.shape[0], distinct_rows=reduced.n, columns=reduced.m)
+            rows=len(cm.rows), distinct_rows=reduced.n, columns=reduced.m)
     else:
-        assignment = extract_assignment(inst, suite)[rows[: cm.n_real]]
+        assignment = extract_assignment(inst, suite)[cm.rows[: cm.n_real]]
         report = _build_report(shipments, packables, boxes, suite, assignment,
                                result, run.method)
         ids = tuple(boxes.boxes[j].id for j in suite.members)
@@ -266,7 +267,7 @@ def recommend(run: RunConfig, shipments: Sequence[Shipment], boxes: BoxSet,
             suite=suite, box_ids=ids, report=report, result=result,
             gamma=cm.gamma, assignment=assignment, packables=packables,
             message=f"selected {len(ids)} boxes, objective {_fmt(result.cost)}",
-            rows=cm.C.shape[0], distinct_rows=reduced.n, columns=reduced.m)
+            rows=len(cm.rows), distinct_rows=reduced.n, columns=reduced.m)
     if run.out_dir is not None:
         write_outputs(outcome, run, boxes, run.out_dir)
     return outcome

@@ -202,7 +202,7 @@ def test_criterion_6_lock_and_coverage_semantics():
         assert out.result.cost <= out.gamma - 0.5
         # Every packable shipment must sit in a genuinely fitting suite box.
         for k, i in enumerate(out.packables.W):
-            assert out.assignment[k] in out.packables.fitting_boxes[i]
+            assert out.assignment[k] in out.packables.fit.row(i).tolist()
     print(f"\nPASS criterion 6: recommend matched covering enumeration on "
           f"100/100 small pipelines ({n_empty} correctly infeasible)")
 

@@ -798,8 +798,8 @@ def test_csr_accessors_and_fitting_boxes_view():
     assert not any(j in mat.rows[1] for j in range(5))
     packs = mat.packables()
     assert packs.W == (0, 2, 3) and packs.I_hat == 3
-    assert dict(packs.fitting_boxes) == {0: (1, 3), 2: (4,), 3: (0, 2)}
-    assert 1 not in packs.fitting_boxes and 7 not in packs.fitting_boxes
+    assert {i: tuple(mat.row(i).tolist()) for i in packs.W} == {0: (1, 3), 2: (4,), 3: (0, 2)}
+    assert mat.row(1).size == 0 and 1 not in packs.W and 7 not in packs.W
     with pytest.raises(DataError):
         FitMatrix(1, 5, [[5]])
     with pytest.raises(DataError):
