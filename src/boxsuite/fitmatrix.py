@@ -79,6 +79,7 @@ from boxsuite.model import (
     DataError,
     Dims3,
     Shipment,
+    canonical_dims,
     liquid_volume,
     tolerance_for,
 )
@@ -583,13 +584,6 @@ def _lookup(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> Optional[n
 # -- the scan ------------------------------------------------------------------
 
 
-def _box_key(box_dims: tuple[float, float, float], pinned: bool):
-    x, y, z = box_dims
-    if pinned:
-        return ((x, y) if x >= y else (y, x)) + (z,)
-    return tuple(sorted(box_dims, reverse=True))
-
-
 class _ShipmentScanner:
     """Scans blocks of shipments across all boxes; memoizes solved subproblems."""
 
@@ -605,13 +599,20 @@ class _ShipmentScanner:
         # also the necessity tolerance, as of nesting
         self._longest_eps = tolerance_for(Dims3(*(self._longest,) * 3))
 
-    def _cached_verdict(self, cartons: tuple[Carton, ...], box_dims, pinned: bool) -> Outcome:
+    def _box_verdict(self, cartons: tuple[Carton, ...], j: int, pinned: bool) -> Outcome:
+        """The cartons' verdict in box j: FIT by stacking, else the cascade."""
+        box = self.boxes[j].inner
+        if fits_stacking(cartons, box):
+            return Outcome.FIT
+        return self._cached_verdict(cartons, box, pinned)
+
+    def _cached_verdict(self, cartons: tuple[Carton, ...], box: Dims3, pinned: bool) -> Outcome:
         keys = tuple(sorted(map(carton_key, cartons)))
-        key = (keys, _box_key(box_dims, pinned))
+        key = (keys, canonical_dims(box.as_tuple(), pinned))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        declared = prob = FitProblem(cartons, Dims3(*box_dims))
+        declared = prob = FitProblem(cartons, box)
         cut_key = None
         if len(cartons) >= 4:
             # Smaller orders are decided faster than the cut is computed.
@@ -620,7 +621,7 @@ class _ShipmentScanner:
                 self.memo[key] = Outcome.NO_FIT
                 return Outcome.NO_FIT
             if cut != declared.box:
-                cut_key = (keys, _box_key(cut.as_tuple(), pinned))
+                cut_key = (keys, canonical_dims(cut.as_tuple(), pinned))
                 hit = self.memo.get(cut_key)
                 if hit is not None:
                     self.memo[key] = hit
@@ -707,8 +708,7 @@ class _ShipmentScanner:
         rows = nec & above
         margin &= above & ~nec
         for i in np.flatnonzero(margin.any(axis=1)).tolist():
-            ho_i, _, br_i = keys[i]
-            up = self.nests.up_ho if ho_i or br_i else self.nests.up_free
+            up = self.nests.up_ho if cartons[i].pins_vertical else self.nests.up_free
             row = np.zeros(len(boxes), dtype=bool)
             for j in np.flatnonzero(rows[i]).tolist():
                 if not row[j]:
@@ -727,7 +727,7 @@ class _ShipmentScanner:
             if dims:
                 nec &= _covers(view, np.max(np.array(dims), axis=0, keepdims=True),
                                self._longest_eps)[0]
-        return any(ho or br for ho, _, br in keys), nec
+        return any(c.pins_vertical for c in cartons), nec
 
     def _scan(self, shipment: Shipment, j0: int, row: np.ndarray) -> list[tuple[int, int]]:
         """Fill ``row`` for a shipment of two or more cartons, visiting boxes
@@ -741,16 +741,12 @@ class _ShipmentScanner:
         for j in (j0 + np.flatnonzero(nec[j0:])).tolist():
             if row[j]:
                 continue
-            box_dims = boxes[j].inner.as_tuple()
-            lw_box = Dims3(*_box_key(box_dims, True))
-            if not fits_stacking(cartons, lw_box):
-                out = self._cached_verdict(cartons, box_dims, pinned)
-                if out is Outcome.TIMED_OUT:
-                    timeouts.append((shipment.id, boxes[j].id))
-                if out is not Outcome.FIT:
-                    continue
-            # A FIT carries over to every box this one nests into.
-            row |= up[j]
+            out = self._box_verdict(cartons, j, pinned)
+            if out is Outcome.TIMED_OUT:
+                timeouts.append((shipment.id, boxes[j].id))
+            elif out is Outcome.FIT:
+                # A FIT carries over to every box this one nests into.
+                row |= up[j]
         return timeouts
 
     def cheapest(self, shipments: Sequence[Shipment], model) -> list[Optional[int]]:
@@ -806,11 +802,7 @@ class _ShipmentScanner:
 
         def verdict(k: int) -> Outcome:
             if k not in own:
-                box_dims = boxes[k].inner.as_tuple()
-                if fits_stacking(cartons, Dims3(*_box_key(box_dims, True))):
-                    own[k] = Outcome.FIT
-                else:
-                    own[k] = self._cached_verdict(cartons, box_dims, pinned)
+                own[k] = self._box_verdict(cartons, k, pinned)
             return own[k]
 
         def fits(k: int) -> bool:
@@ -934,7 +926,7 @@ def cheapest_fitting_boxes(shipments: Sequence[Shipment], suite: BoxSet,
       volume cut and necessity in (cost, index) order, one order for the
       suite under a box-only model (one with ``box_costs``), one per
       shipment from ``cost_for`` otherwise, and stops at the first that
-      fits. A box fits when stacking or the cascade (``_cached_verdict``)
+      fits. A box fits when stacking or the cascade (``_box_verdict``)
       says FIT. A box whose own decision times out fits when a candidate
       box nesting into it (its ``up`` column) fits by its own verdict.
     - A candidate whose cost lookup fails (``cost_for`` raises DataError or

@@ -2,8 +2,9 @@
 
 Layered from cheap to complete:
 
-- :func:`fits_single` / :func:`necessary_condition` / :func:`fits_stacking`
-  are closed-form screens (exact for one carton, one-sided otherwise);
+- :func:`fits_stacking` is a closed-form one-sided screen: it proves FIT by
+  lining the cartons up along one axis of the declared box (``box.c``
+  vertical);
 - ``checks.normal_pattern_box`` cuts each box axis to the longest sum of
   carton extents it holds, which never changes the verdict;
 - :func:`dff_refutes` is a one-sided dual-feasible-function volume bound
@@ -20,13 +21,12 @@ Layered from cheap to complete:
 Every function reads each carton's own ``height_oriented`` and
 ``bottom_resting`` flags; there is no switch to ignore them. A caller that
 wants a carton free of a rule builds it without the flag.
+
+The per-carton necessity screen is not here: the fit scan runs it over all
+boxes at once (``fitmatrix._ShipmentScanner._necessity``), and for one
+carton it is the exact fit test.
 """
-from boxsuite.fitting.checks import (
-    dff_refutes,
-    fits_single,
-    fits_stacking,
-    necessary_condition,
-)
+from boxsuite.fitting.checks import dff_refutes, fits_stacking
 from boxsuite.fitting.extreme import pack_extreme_points
 from boxsuite.fitting.oracle import oracle_fit
 from boxsuite.fitting.small import fits_exact_small
@@ -52,9 +52,7 @@ __all__ = [
     "check_witness",
     "dff_refutes",
     "fits_exact_small",
-    "fits_single",
     "fits_stacking",
-    "necessary_condition",
     "orientation_extents",
     "oracle_fit",
     "pack_extreme_points",

@@ -1,4 +1,5 @@
-"""Cheap sufficient/necessary fit conditions used before the full solver."""
+"""Cheap fit screens used before the full solver: one-row stacking, the DFF
+NO_FIT bound and the normal-pattern box cut."""
 from __future__ import annotations
 
 from bisect import bisect_right
@@ -8,75 +9,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from boxsuite.fitting.types import FitProblem, orientation_extents
-from boxsuite.model import Carton, Dims3, tolerance_for
+from boxsuite.model import Carton, Dims3, canonical_dims, tolerance_for
 
 __all__ = [
-    "fits_single",
     "fits_stacking",
-    "necessary_condition",
     "dff_refutes",
     "extent_sums",
     "normal_pattern_box",
 ]
 
 
-def fits_single(carton: Carton, box: Dims3) -> bool:
-    """Exact single-carton fit test.
-
-    Free cartons fit iff their sorted dims fit the sorted box dims
-    componentwise; height-oriented cartons additionally must keep their height
-    vertical, so only length/width may rotate. ``box.c`` must be the true
-    vertical dimension when the carton is height-oriented.
-    """
-    eps = tolerance_for(box)
-    p, q, r = carton.dims.as_tuple()
-    if carton.height_oriented:
-        cl, cw = (p, q) if p >= q else (q, p)
-        bl, bw = (box.a, box.b) if box.a >= box.b else (box.b, box.a)
-        return cl <= bl + eps and cw <= bw + eps and r <= box.c + eps
-    cs = sorted((p, q, r), reverse=True)
-    bs = sorted(box.as_tuple(), reverse=True)
-    return all(cs[i] <= bs[i] + eps for i in range(3))
-
-
-def _pinned(carton: Carton) -> bool:
-    # A pinned carton may only rotate about the vertical axis: height-oriented
-    # by definition, bottom-resting conservatively (a floor carton could
-    # tip over in principle, but the one-row constructions below keep every
-    # carton's given height vertical, matching the HO treatment).
-    return carton.height_oriented or carton.bottom_resting
-
-
 def _aggregate_sorted_dims(
     cartons: Sequence[Carton],
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Componentwise sums and maxima of the cartons' effective sorted dims.
-
-    Pinned cartons (see ``_pinned``) sort length/width only and keep their
-    height third, bottom-resting ones included, because the one-row
-    constructions of ``fits_stacking`` keep it vertical; free cartons sort
-    all three dims nonincreasing.
-    """
-    eff = []
-    for c in cartons:
-        p, q, r = c.dims.as_tuple()
-        if _pinned(c):
-            eff.append(((p, q, r) if p >= q else (q, p, r)))
-        else:
-            eff.append(tuple(sorted((p, q, r), reverse=True)))
+    """Componentwise sums and maxima of the cartons' ``canonical_dims``,
+    the height kept third for every carton that ``pins_vertical``."""
+    eff = [canonical_dims(c.dims.as_tuple(), c.pins_vertical) for c in cartons]
     sums = tuple(sum(e[a] for e in eff) for a in range(3))
     maxs = tuple(max(e[a] for e in eff) for a in range(3))
     return sums, maxs  # type: ignore[return-value]
-
-
-def necessary_condition(cartons: Sequence[Carton], box_sorted_dims: Dims3) -> bool:
-    """Every carton individually fits the box; failure proves no packing exists.
-
-    ``box_sorted_dims.c`` must be the true vertical dimension; the other two
-    components may be in any order. Bottom-resting restricts position, not
-    orientation, so it plays no role here.
-    """
-    return all(fits_single(c, box_sorted_dims) for c in cartons)
 
 
 _DFF_TOL = 1e-9
@@ -213,29 +164,23 @@ def normal_pattern_box(problem: FitProblem,
     return Dims3(*cut)
 
 
-def fits_stacking(cartons: Sequence[Carton], box_sorted_dims: Dims3) -> bool:
+def fits_stacking(cartons: Sequence[Carton], box: Dims3) -> bool:
     """Sufficient fit test: line the cartons up along a single axis.
 
-    The one-row constructions keep every pinned carton's height vertical, so
-    when any carton is pinned the box's vertical axis is distinguished:
-    ``box_sorted_dims.c`` must then be the true vertical dimension (the other
-    two components in any order). With only free cartons the box is re-sorted
-    internally and the input order does not matter.
+    ``box`` is the declared box, ``box.c`` its vertical axis. The one-row
+    constructions keep every pinned carton's height vertical (see
+    ``Carton.pins_vertical``), so when any carton is pinned the box keeps
+    ``box.c`` third; with only free cartons its dims are sorted and their
+    order does not matter.
 
     A length or width row leaves every carton on the floor. A height stack
     elevates all cartons but the bottom one, so it is only allowed with at
     most one bottom-resting carton (that carton takes the floor slot).
     """
-    eps = tolerance_for(box_sorted_dims)
+    eps = tolerance_for(box)
     br_count = sum(1 for c in cartons if c.bottom_resting)
     sums, maxs = _aggregate_sorted_dims(cartons)
-    if any(_pinned(c) for c in cartons):
-        bl, bw = (box_sorted_dims.a, box_sorted_dims.b)
-        if bw > bl:
-            bl, bw = bw, bl
-        bx = (bl, bw, box_sorted_dims.c)
-    else:
-        bx = tuple(sorted(box_sorted_dims.as_tuple(), reverse=True))
+    bx = canonical_dims(box.as_tuple(), any(c.pins_vertical for c in cartons))
     # Guard so that "true" always means a constructible packing: every carton
     # must fit the box componentwise in its effective orientation.
     if not all(maxs[a] <= bx[a] + eps for a in range(3)):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from boxsuite.model import Carton, DataError, Dims3, tolerance_for
+from boxsuite.model import Carton, DataError, Dims3, canonical_dims, tolerance_for
 
 __all__ = [
     "FitProblem",
@@ -30,10 +30,10 @@ class Outcome(enum.Enum):
 class FitProblem:
     """Can these cartons be packed into this box?
 
-    ``box`` dims are taken as given (unsorted); the third component is the
-    vertical axis. Every carton's own flags apply: a height-oriented carton
-    keeps its height vertical, a bottom-resting one stands on the floor. A
-    carton built without a flag is free of that rule.
+    ``box`` dims are taken as given (unsorted); the third component,
+    ``box.c``, is the vertical axis. Every carton's own flags apply: a
+    height-oriented carton keeps its height vertical, a bottom-resting one
+    stands on the floor. A carton built without a flag is free of that rule.
     """
 
     cartons: tuple[Carton, ...]
@@ -112,17 +112,13 @@ def orientation_extents(carton: Carton) -> tuple[tuple[float, float, float], ...
 def carton_key(carton: Carton) -> tuple[bool, tuple[float, float, float], bool]:
     """Canonical identity of a carton under its HO/BR flags.
 
-    Returns (height pinned, dims, bottom resting). A height-oriented carton
-    sorts only length/width nonincreasing and keeps its height third; a free
-    one sorts all three dims nonincreasing. Two cartons with equal keys are
+    Returns (height oriented, ``canonical_dims`` of its dims, bottom
+    resting). Only height-orientation keeps the height third: bottom-resting
+    limits position, not orientation. Two cartons with equal keys are
     interchangeable in every fit problem.
     """
-    p, q, r = carton.dims.as_tuple()
-    br = bool(carton.bottom_resting)
-    if carton.height_oriented:
-        return (True, (p, q, r) if p >= q else (q, p, r), br)
-    a, b, c = sorted((p, q, r), reverse=True)
-    return (False, (a, b, c), br)
+    ho = bool(carton.height_oriented)
+    return (ho, canonical_dims(carton.dims.as_tuple(), ho), bool(carton.bottom_resting))
 
 
 def check_witness(problem: FitProblem, witness: Sequence[Placement]) -> bool:

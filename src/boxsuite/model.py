@@ -20,6 +20,7 @@ __all__ = [
     "CandidateBox",
     "BoxSet",
     "DataError",
+    "canonical_dims",
     "sort3",
     "liquid_volume",
     "tolerance_for",
@@ -56,10 +57,23 @@ class Dims3:
         return self.a * self.b * self.c
 
 
+def canonical_dims(dims: tuple, keep_height: bool) -> tuple:
+    """A carton or box dims triple up to rotation: all three dims sorted
+    nonincreasing, or with ``keep_height`` only the first two, the third
+    (the vertical axis) kept in place."""
+    a, b, c = dims
+    if a < b:
+        a, b = b, a
+    if not keep_height and b < c:
+        b, c = c, b
+        if a < b:
+            a, b = b, a
+    return (a, b, c)
+
+
 def sort3(d: Dims3) -> Dims3:
     """Nonincreasing permutation of a dimension triple."""
-    a, b, c = sorted(d.as_tuple(), reverse=True)
-    return Dims3(a, b, c)
+    return Dims3(*canonical_dims(d.as_tuple(), False))
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,14 @@ class Carton:
     dims: Dims3
     height_oriented: bool = False
     bottom_resting: bool = False
+
+    @property
+    def pins_vertical(self) -> bool:
+        """Height-oriented or bottom-resting. The stacking rows and the nest
+        fill keep such a carton's height vertical (a floor carton could tip
+        over, but need not); necessity and ``carton_key`` read
+        ``height_oriented`` alone, as bottom-resting limits position only."""
+        return bool(self.height_oriented or self.bottom_resting)
 
 
 @dataclass(frozen=True)
@@ -136,11 +158,11 @@ class BoxSet:
             raise DataError("duplicate locked box ids")
         # Dense geometry arrays used by the fitting/nesting scans.
         self.volumes = np.array([bx.volume for bx in self.boxes], dtype=np.float64)
-        dims = np.array([bx.inner.as_tuple() for bx in self.boxes], dtype=np.float64)
-        self.dims = dims
-        self.sorted_dims = -np.sort(-dims, axis=1)  # per-box nonincreasing
-        lw = -np.sort(-dims[:, :2], axis=1)
-        self.sorted_lw_dims = np.column_stack([lw, dims[:, 2]])  # LW sorted, height kept
+        inner = [bx.inner.as_tuple() for bx in self.boxes]
+        self.dims = np.array(inner, dtype=np.float64)
+        free, kept = zip(*[(canonical_dims(d, False), canonical_dims(d, True)) for d in inner])
+        self.sorted_dims = np.array(free, dtype=np.float64)  # per-box nonincreasing
+        self.sorted_lw_dims = np.array(kept, dtype=np.float64)  # LW sorted, height kept
 
     def __len__(self) -> int:
         return len(self.boxes)

@@ -17,7 +17,15 @@ import numpy as np
 
 from boxsuite.cost import CostModel, InnerVolumeCost, build_cost_matrix
 from boxsuite.fitmatrix import FitMatrix, PackableSet, cheapest_fitting_boxes, compute_fit_matrix
-from boxsuite.model import BoxSet, CandidateBox, DataError, Dims3, Shipment, liquid_volume
+from boxsuite.model import (
+    BoxSet,
+    CandidateBox,
+    DataError,
+    Dims3,
+    Shipment,
+    canonical_dims,
+    liquid_volume,
+)
 from boxsuite.pmedian import (
     GraspParams,
     PMedianInstance,
@@ -518,7 +526,7 @@ def finetune_candidates(boxes: BoxSet, suite_ids: Sequence[int],
     seen: set[tuple[float, ...]] = set()
 
     def admit(box: CandidateBox) -> None:
-        key = tuple(sorted(box.inner.as_tuple(), reverse=True))
+        key = canonical_dims(box.inner.as_tuple(), False)
         if key not in seen:
             seen.add(key)
             kept.append(box)
@@ -538,7 +546,7 @@ def finetune_candidates(boxes: BoxSet, suite_ids: Sequence[int],
             if dims == base:
                 admit(CandidateBox(id=box.id, inner=Dims3(*dims)))
                 continue
-            key = tuple(sorted(dims, reverse=True))
+            key = canonical_dims(dims, False)
             if key in seen:
                 continue
             admit(CandidateBox(id=next_id, inner=Dims3(*dims)))

@@ -1,5 +1,6 @@
 import random
 
+from boxsuite.fitmatrix import FitScanConfig, _ShipmentScanner, compute_nest_sets
 from boxsuite.fitting import FitProblem
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment
 
@@ -20,10 +21,16 @@ def random_fit_problem(rng: random.Random, n_range=(1, 4), dim_max=5, box_max=8,
     return FitProblem(tuple(cartons), box)
 
 
-def sorted_lw(box: Dims3) -> Dims3:
-    """Box with footprint dims nonincreasing, height kept third."""
-    a, b = (box.a, box.b) if box.a >= box.b else (box.b, box.a)
-    return Dims3(a, b, box.c)
+def one_box_scanner(box: Dims3) -> _ShipmentScanner:
+    """The fit scan's scanner over a set holding just ``box``, as declared
+    (``box.c`` vertical)."""
+    boxes = BoxSet([CandidateBox(1, box)])
+    return _ShipmentScanner(boxes, compute_nest_sets(boxes), FitScanConfig())
+
+
+def passes_necessity(cartons, box: Dims3) -> bool:
+    """The scan's per-carton necessity screen for ``cartons`` in ``box``."""
+    return bool(one_box_scanner(box)._necessity(cartons)[1][0])
 
 
 def five_to_seven_carton_world(seed):

@@ -21,9 +21,7 @@ from boxsuite.fitting import (
     Outcome,
     SolverConfig,
     check_witness,
-    fits_single,
     fits_stacking,
-    necessary_condition,
     oracle_fit,
     solve_fit,
 )
@@ -40,7 +38,7 @@ from boxsuite.pmedian import (
     solve_grasp,
     solve_lagrangian,
 )
-from conftest import sorted_lw
+from conftest import one_box_scanner
 from test_pipeline import covering_optimum
 
 TEN_SECONDS = SolverConfig(time_limit=10.0)
@@ -116,20 +114,22 @@ def test_criterion_3_fast_path_soundness():
     for prob in probs:
         v = solve_fit(prob, TEN_SECONDS)
         assert not v.timed_out
-        lw_box = sorted_lw(prob.box)
-        if not necessary_condition(prob.cartons, lw_box):
+        # The scan's own screens, on a set of just the declared box.
+        scanner = one_box_scanner(prob.box)
+        if not scanner._necessity(prob.cartons)[1][0]:
             necessity_hits += 1
             if v.outcome is not Outcome.NO_FIT:
                 violations += 1
             continue
         if prob.n == 1:
-            # Necessity passed, so the single test passes; must be a fit.
-            assert fits_single(prob.cartons[0], lw_box)
+            # Necessity passed, so the single-carton row holds the box; must
+            # be a fit.
+            assert scanner._single_rows(prob.cartons, np.zeros(1, dtype=np.intp))[0, 0]
             single_hits += 1
             if v.outcome is not Outcome.FIT:
                 violations += 1
             continue
-        if fits_stacking(prob.cartons, lw_box):
+        if fits_stacking(prob.cartons, prob.box):
             stack_hits += 1
             if v.outcome is not Outcome.FIT:
                 violations += 1

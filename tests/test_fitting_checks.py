@@ -1,5 +1,6 @@
-"""Fast-path checks: exact single-carton test, one-row stacking, necessity,
-the dual-feasible-function NO_FIT screen and the normal-pattern box cut."""
+"""Fast-path checks: the scan's necessity screen (the exact test for one
+carton), one-row stacking, the dual-feasible-function NO_FIT screen and the
+normal-pattern box cut."""
 import random
 import time
 
@@ -16,9 +17,7 @@ from boxsuite.fitting import (
     SolverConfig,
     check_witness,
     dff_refutes,
-    fits_single,
     fits_stacking,
-    necessary_condition,
     oracle_fit,
     solve_fit,
 )
@@ -26,21 +25,21 @@ from boxsuite.fitting.checks import MAX_EXTENT_SUMS, extent_sums, normal_pattern
 from boxsuite.fitting.types import carton_key
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, tolerance_for
 
-from conftest import five_to_seven_carton_world, random_fit_problem, sorted_lw
+from conftest import five_to_seven_carton_world, passes_necessity, random_fit_problem
 
 
 def test_single_free_examples():
-    assert fits_single(Carton(Dims3(3, 7, 2)), Dims3(8, 3, 7))
-    assert fits_single(Carton(Dims3(5, 4, 1)), Dims3(5, 4, 1))
-    assert not fits_single(Carton(Dims3(9, 1, 1)), Dims3(8, 8, 8))
+    assert passes_necessity([Carton(Dims3(3, 7, 2))], Dims3(8, 3, 7))
+    assert passes_necessity([Carton(Dims3(5, 4, 1))], Dims3(5, 4, 1))
+    assert not passes_necessity([Carton(Dims3(9, 1, 1))], Dims3(8, 8, 8))
 
 
 def test_single_height_oriented():
     # Height stays vertical: a 3-tall carton cannot lie down in a 1-tall box.
     tall = Carton(Dims3(1, 1, 3), height_oriented=True)
-    assert not fits_single(tall, Dims3(3, 3, 1))
-    assert fits_single(Carton(Dims3(1, 1, 3)), Dims3(3, 3, 1))
-    assert fits_single(tall, Dims3(1, 1, 3))
+    assert not passes_necessity([tall], Dims3(3, 3, 1))
+    assert passes_necessity([Carton(Dims3(1, 1, 3))], Dims3(3, 3, 1))
+    assert passes_necessity([tall], Dims3(1, 1, 3))
 
 
 def test_stacking_free_row():
@@ -70,6 +69,15 @@ def test_stacking_single_bottom_resting_takes_floor_slot():
     assert not fits_stacking([br, br], Dims3(2, 2, 5))
 
 
+def test_stacking_keeps_the_declared_vertical_axis():
+    # Two height-oriented 2x1 footprints, 1 tall: the declared 1x1x4 box is a
+    # 4-tall chimney they cannot enter, though a 4x1x1 row would hold them.
+    ho = [Carton(Dims3(2, 1, 1), height_oriented=True)] * 2
+    assert not fits_stacking(ho, Dims3(1, 1, 4))
+    assert fits_stacking(ho, Dims3(4, 1, 1))
+    assert fits_stacking([Carton(Dims3(2, 1, 1))] * 2, Dims3(1, 1, 4))
+
+
 def test_stacking_guard_rejects_oversized_member():
     # Sums alone would pass; the 5-long carton cannot fit at all.
     pair = [Carton(Dims3(5, 1, 1)), Carton(Dims3(1, 1, 1))]
@@ -80,14 +88,17 @@ def test_necessary_condition_mixed_shipment():
     # The free carton needs the box's tall axis; the HO carton needs the footprint.
     free = Carton(Dims3(8, 1, 1))
     ho = Carton(Dims3(2, 2, 2), height_oriented=True)
-    assert necessary_condition([free, ho], Dims3(2, 2, 9))
-    assert not necessary_condition([free, ho], Dims3(2, 2, 7))
-    assert not necessary_condition([free, Carton(Dims3(3, 3, 1), height_oriented=True)], Dims3(2, 2, 9))
+    assert passes_necessity([free, ho], Dims3(2, 2, 9))
+    assert not passes_necessity([free, ho], Dims3(2, 2, 7))
+    assert not passes_necessity([free, Carton(Dims3(3, 3, 1), height_oriented=True)],
+                                Dims3(2, 2, 9))
 
 
 def test_necessary_condition_ignores_bottom_resting():
     br = Carton(Dims3(1, 1, 2), bottom_resting=True)
-    assert necessary_condition([br], Dims3(1, 1, 4))
+    assert passes_necessity([br], Dims3(1, 1, 4))
+    # A floor carton may still lie down: 3 tall, it fits the 3x1x1 box on its side.
+    assert passes_necessity([Carton(Dims3(1, 1, 3), bottom_resting=True)], Dims3(3, 1, 1))
 
 
 def test_stacking_sufficiency_random_audit():
@@ -96,7 +107,7 @@ def test_stacking_sufficiency_random_audit():
     hits = 0
     for _ in range(300):
         prob = random_fit_problem(rng, n_range=(2, 4), ho_prob=0.3, br_prob=0.3)
-        if fits_stacking(prob.cartons, sorted_lw(prob.box)):
+        if fits_stacking(prob.cartons, prob.box):
             hits += 1
             assert oracle_fit(prob).is_fit
     assert hits > 20  # the audit actually exercised the true branch
@@ -106,15 +117,16 @@ def test_necessity_random_audit():
     rng = random.Random(9)
     for _ in range(300):
         prob = random_fit_problem(rng, n_range=(1, 4), ho_prob=0.3, br_prob=0.3)
-        if not necessary_condition(prob.cartons, sorted_lw(prob.box)):
+        if not passes_necessity(prob.cartons, prob.box):
             assert not oracle_fit(prob).is_fit
 
 
 @given(dims=st.tuples(*[st.integers(1, 6)] * 3), box=st.tuples(*[st.integers(1, 6)] * 3))
 @settings(max_examples=200, deadline=None)
 def test_single_free_is_rotation_invariant(dims, box):
-    base = fits_single(Carton(Dims3(*dims)), Dims3(*box))
-    rotated = fits_single(Carton(Dims3(dims[2], dims[0], dims[1])), Dims3(box[1], box[2], box[0]))
+    base = passes_necessity([Carton(Dims3(*dims))], Dims3(*box))
+    rotated = passes_necessity([Carton(Dims3(dims[2], dims[0], dims[1]))],
+                               Dims3(box[1], box[2], box[0]))
     assert base == rotated
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxsuite.fitting import carton_key
 from boxsuite.model import (
     BoxSet,
     CandidateBox,
@@ -9,6 +10,7 @@ from boxsuite.model import (
     DataError,
     Dims3,
     Shipment,
+    canonical_dims,
     enumerate_box_grid,
     liquid_volume,
     load_boxes,
@@ -21,19 +23,55 @@ from boxsuite.model import (
 positive_dim = st.floats(min_value=0.1, max_value=100, allow_nan=False)
 
 
-def test_sort3_examples():
+dims3 = st.tuples(positive_dim, positive_dim, positive_dim)
+
+
+def test_canonical_dims_examples():
+    assert canonical_dims((3, 7, 2), False) == (7, 3, 2)
+    assert canonical_dims((1, 2, 3), False) == (3, 2, 1)
+    assert canonical_dims((5, 5, 5), False) == (5, 5, 5)
+    assert canonical_dims((1, 2, 3), True) == (2, 1, 3)
+    assert canonical_dims((3, 7, 2), True) == (7, 3, 2)
     assert sort3(Dims3(3, 7, 2)).as_tuple() == (7, 3, 2)
     assert sort3(Dims3(5, 5, 5)).as_tuple() == (5, 5, 5)
     assert sort3(Dims3(1, 2, 3)).as_tuple() == (3, 2, 1)
 
 
-@given(positive_dim, positive_dim, positive_dim)
-def test_sort3_is_idempotent_permutation(a, b, c):
-    d = Dims3(a, b, c)
-    s = sort3(d)
-    assert sorted(s.as_tuple()) == sorted(d.as_tuple())
-    assert s.a >= s.b >= s.c
-    assert sort3(s) == s
+@given(dims3, st.booleans())
+def test_canonical_dims_is_idempotent_permutation(d, keep_height):
+    s = canonical_dims(d, keep_height)
+    assert sorted(s) == sorted(d)
+    assert s[0] >= s[1] and (keep_height or s[1] >= s[2])
+    assert canonical_dims(s, keep_height) == s
+    assert sort3(Dims3(*d)).as_tuple() == canonical_dims(d, False)
+
+
+@given(dims3, st.permutations(range(3)))
+def test_canonical_dims_free_form_ignores_every_rotation(d, perm):
+    assert canonical_dims(tuple(d[k] for k in perm), False) == canonical_dims(d, False)
+
+
+@given(dims3)
+def test_canonical_dims_keep_height_form_keeps_z_and_ignores_an_xy_swap(d):
+    x, y, z = d
+    assert canonical_dims(d, True)[2] == z
+    assert canonical_dims((y, x, z), True) == canonical_dims(d, True)
+
+
+@given(st.lists(dims3, min_size=1, max_size=8))
+def test_box_set_views_apply_the_rule_to_each_declared_box(dims):
+    boxes = BoxSet(CandidateBox(i, Dims3(*d)) for i, d in enumerate(dims))
+    for j, bx in enumerate(boxes):
+        d = bx.inner.as_tuple()
+        assert tuple(boxes.sorted_dims[j]) == canonical_dims(d, False)
+        assert tuple(boxes.sorted_lw_dims[j]) == canonical_dims(d, True)
+
+
+@given(dims3, st.booleans(), st.booleans())
+def test_carton_key_and_pin_follow_the_rule(d, ho, br):
+    c = Carton(Dims3(*d), height_oriented=ho, bottom_resting=br)
+    assert carton_key(c) == (ho, canonical_dims(d, ho), br)
+    assert c.pins_vertical == (ho or br)
 
 
 def test_liquid_volume_examples():
