@@ -585,7 +585,12 @@ def _lookup(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> Optional[n
 
 
 class _ShipmentScanner:
-    """Scans blocks of shipments across all boxes; memoizes solved subproblems."""
+    """Scans blocks of shipments across all boxes; memoizes solved subproblems.
+
+    A shipment's carton keys (its sorted ``carton_key`` values, the carton
+    part of every memo key) are computed once per shipment, in ``_scan`` and
+    ``_first_fit``, not once per box decided.
+    """
 
     def __init__(self, boxes: BoxSet, nests: NestSets, cfg: FitScanConfig):
         self.boxes = boxes
@@ -599,15 +604,17 @@ class _ShipmentScanner:
         # also the necessity tolerance, as of nesting
         self._longest_eps = tolerance_for(Dims3(*(self._longest,) * 3))
 
-    def _box_verdict(self, cartons: tuple[Carton, ...], j: int, pinned: bool) -> Outcome:
-        """The cartons' verdict in box j: FIT by stacking, else the cascade."""
+    def _box_verdict(self, cartons: tuple[Carton, ...], keys: tuple, j: int,
+                     pinned: bool) -> Outcome:
+        """The cartons' verdict in box j: FIT by stacking, else the cascade.
+        ``keys`` are the cartons' sorted ``carton_key`` values."""
         box = self.boxes[j].inner
         if fits_stacking(cartons, box):
             return Outcome.FIT
-        return self._cached_verdict(cartons, box, pinned)
+        return self._cached_verdict(cartons, keys, box, pinned)
 
-    def _cached_verdict(self, cartons: tuple[Carton, ...], box: Dims3, pinned: bool) -> Outcome:
-        keys = tuple(sorted(map(carton_key, cartons)))
+    def _cached_verdict(self, cartons: tuple[Carton, ...], keys: tuple, box: Dims3,
+                        pinned: bool) -> Outcome:
         key = (keys, canonical_dims(box.as_tuple(), pinned))
         hit = self.memo.get(key)
         if hit is not None:
@@ -734,6 +741,7 @@ class _ShipmentScanner:
         from ``j0`` up; returns its timeouts."""
         boxes = self.boxes
         cartons = shipment.cartons
+        keys = tuple(sorted(map(carton_key, cartons)))
         pinned, nec = self._necessity(cartons)
         up = self.nests.up_ho if pinned else self.nests.up_free
 
@@ -741,7 +749,7 @@ class _ShipmentScanner:
         for j in (j0 + np.flatnonzero(nec[j0:])).tolist():
             if row[j]:
                 continue
-            out = self._box_verdict(cartons, j, pinned)
+            out = self._box_verdict(cartons, keys, j, pinned)
             if out is Outcome.TIMED_OUT:
                 timeouts.append((shipment.id, boxes[j].id))
             elif out is Outcome.FIT:
@@ -794,6 +802,7 @@ class _ShipmentScanner:
         order until one fits."""
         boxes = self.boxes
         cartons = shipment.cartons
+        keys = tuple(sorted(map(carton_key, cartons)))
         pinned, nec = self._necessity(cartons)
         up = self.nests.up_ho if pinned else self.nests.up_free
         cand = nec
@@ -802,7 +811,7 @@ class _ShipmentScanner:
 
         def verdict(k: int) -> Outcome:
             if k not in own:
-                own[k] = self._box_verdict(cartons, k, pinned)
+                own[k] = self._box_verdict(cartons, keys, k, pinned)
             return own[k]
 
         def fits(k: int) -> bool:

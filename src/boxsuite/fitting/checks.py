@@ -19,17 +19,6 @@ __all__ = [
 ]
 
 
-def _aggregate_sorted_dims(
-    cartons: Sequence[Carton],
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Componentwise sums and maxima of the cartons' ``canonical_dims``,
-    the height kept third for every carton that ``pins_vertical``."""
-    eff = [canonical_dims(c.dims.as_tuple(), c.pins_vertical) for c in cartons]
-    sums = tuple(sum(e[a] for e in eff) for a in range(3))
-    maxs = tuple(max(e[a] for e in eff) for a in range(3))
-    return sums, maxs  # type: ignore[return-value]
-
-
 _DFF_TOL = 1e-9
 _DFF_K = np.arange(1.0, 5.0)
 
@@ -178,13 +167,32 @@ def fits_stacking(cartons: Sequence[Carton], box: Dims3) -> bool:
     most one bottom-resting carton (that carton takes the floor slot).
     """
     eps = tolerance_for(box)
-    br_count = sum(1 for c in cartons if c.bottom_resting)
-    sums, maxs = _aggregate_sorted_dims(cartons)
-    bx = canonical_dims(box.as_tuple(), any(c.pins_vertical for c in cartons))
+    # Componentwise sums and maxima of the cartons' ``canonical_dims`` (the
+    # height kept third for a pinned carton), summed in carton order.
+    sx = sy = sz = mx = my = mz = 0.0
+    br_count = 0
+    pinned = False
+    for c in cartons:
+        pins = c.pins_vertical
+        x, y, z = canonical_dims(c.dims.as_tuple(), pins)
+        sx += x
+        sy += y
+        sz += z
+        if x > mx:
+            mx = x
+        if y > my:
+            my = y
+        if z > mz:
+            mz = z
+        if c.bottom_resting:
+            br_count += 1
+        pinned = pinned or pins
+    bx, by, bz = canonical_dims(box.as_tuple(), pinned)
+    bx, by, bz = bx + eps, by + eps, bz + eps
     # Guard so that "true" always means a constructible packing: every carton
     # must fit the box componentwise in its effective orientation.
-    if not all(maxs[a] <= bx[a] + eps for a in range(3)):
+    if mx > bx or my > by or mz > bz:
         return False
-    if sums[0] <= bx[0] + eps or sums[1] <= bx[1] + eps:
+    if sx <= bx or sy <= by:
         return True
-    return br_count <= 1 and sums[2] <= bx[2] + eps
+    return br_count <= 1 and sz <= bz

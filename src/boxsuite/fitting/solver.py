@@ -33,6 +33,22 @@ the same orientations, so both symmetry families still hold. Two 10x6x5
 and four 6x6x4 cartons in 17x12x6, where no two cartons stack, take 1,959
 nodes to refute instead of 190,101.
 
+Two root screens work from each carton's smallest extent per axis over
+its allowed orientations. Two cartons can share the box only if, along
+some axis a, their smallest extents sum to at most ``box[a] + eps``
+(``_pair_screen_refutes``). That is exactly "some pair of their
+orientations has a separating axis": rounded addition is monotone, so the
+sum of the two minima is the least sum of any pair. The reduction's "meets
+every other carton along a" compares a carton's smallest extent with the
+least of the others', which each axis's two smallest values give for all
+cartons at once (``_meeting_axes``), by the same monotonicity. With one
+carton there is no other, so every axis qualifies.
+
+During the search an orientation e of carton i is tried only if, with each
+carton k already oriented (extents ``ext[k]``), ``e[a] + ext[k][a] <=
+box[a] + eps`` on some axis a. The check is made when the branch is taken;
+addition commutes, so carton order does not change its floats.
+
 Intervals are stored per axis (``lo[a][i]``), so a branch copies three lists.
 Each node scans the undecided oriented pairs in a fixed order. An entailed
 pair is decided without an edge and the scan carries on, because no interval
@@ -42,6 +58,7 @@ becomes the branch pair, and only its relations are sorted, best slack first.
 """
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Optional
 
@@ -71,22 +88,59 @@ def solve_fit(problem: FitProblem, cfg: Optional[SolverConfig] = None) -> FitVer
     return search.run()
 
 
+def _smallest_extents(options: list) -> list:
+    """Each carton's smallest extent along each axis over its orientations."""
+    return [tuple(map(min, zip(*opts))) for opts in options]
+
+
+def _pair_screen_refutes(min_ext: list, bounds: tuple) -> bool:
+    """True when two cartons have no separating axis under any of their
+    orientations: along every axis a their smallest extents sum to more
+    than ``bounds[a]`` (the box plus eps)."""
+    bx, by, bz = bounds
+    for i, (xi, yi, zi) in enumerate(min_ext):
+        for xk, yk, zk in min_ext[i + 1:]:
+            if xi + xk > bx and yi + yk > by and zi + zk > bz:
+                return True
+    return False
+
+
+def _meeting_axes(low: list, bounds: tuple) -> list:
+    """For each carton, the axes a along which it meets every other carton:
+    its smallest extent ``low[i][a]`` plus every other carton's is more than
+    ``bounds[a]``.
+
+    The smallest other extent is the axis's least one, or its second least
+    for a carton that holds the least. With one carton there is no other,
+    so every axis qualifies.
+    """
+    n = len(low)
+    axes: list = [[] for _ in range(n)]
+    for a in range(3):
+        col = sorted(e[a] for e in low)
+        least, second = col[0], (col[1] if n > 1 else math.inf)
+        bound = bounds[a]
+        for i in range(n):
+            x = low[i][a]
+            if x + (second if x == least else least) > bound:
+                axes[i].append(a)
+    return axes
+
+
 def _drop_dominated_orientations(options: list, box: tuple, eps: float) -> list:
     """Each carton's orientations, less those another of its orientations
     dominates across an axis along which it meets every other carton.
 
     Carton i meets every other carton along axis a when, for each k, the
-    smallest extents of i and k along a sum to more than ``box[a] + eps``.
-    Then orientation e of i is dropped when another orientation f has
-    f[b] <= e[b] and f[c] <= e[c] on the two other axes b and c.
+    smallest extents of i and k along a sum to more than ``box[a] + eps``
+    (``_meeting_axes``). Then orientation e of i is dropped when another
+    orientation f has f[b] <= e[b] and f[c] <= e[c] on the two other axes
+    b and c.
     """
-    n = len(options)
-    low = [[min(e[a] for e in opts) for a in range(3)] for opts in options]
+    meeting = _meeting_axes(_smallest_extents(options), tuple(v + eps for v in box))
     reduced = []
-    for i, opts in enumerate(options):
-        for a in range(3):
-            if any(low[i][a] + low[k][a] <= box[a] + eps for k in range(n) if k != i):
-                continue
+    for opts, axes in zip(options, meeting):
+        for a in axes:
             b, c = (a + 1) % 3, (a + 2) % 3
             opts = [e for e in opts
                     if not any(f != e and f[b] <= e[b] and f[c] <= e[c] for f in opts)]
@@ -123,10 +177,11 @@ class _Search:
         cartons = [prob.cartons[i] for i in self.work2orig]
         keys = [key_of[i] for i in self.work2orig]
 
+        self.bounds = bounds = tuple(v + eps for v in box)
+        bx, by, bz = bounds
         options = []
         for c in cartons:
-            opts = [e for e in orientation_extents(c)
-                    if all(e[a] <= box[a] + eps for a in range(3))]
+            opts = [e for e in orientation_extents(c) if e[0] <= bx and e[1] <= by and e[2] <= bz]
             if not opts:
                 return self._verdict(Outcome.NO_FIT)
             options.append(opts)
@@ -136,23 +191,12 @@ class _Search:
         if sum(c.dims.volume for c in cartons) > box_volume + eps:
             return self._verdict(Outcome.NO_FIT)
 
-        # Orientation-pair compatibility: a pair with no separating axis under
-        # any orientation combination cannot coexist in the box.
-        self.pair_sep = {}
-        for i in range(n):
-            for k in range(i + 1, n):
-                table = {}
-                any_ok = False
-                for oi, ei in enumerate(options[i]):
-                    for ok_, ek in enumerate(options[k]):
-                        sep = any(ei[a] + ek[a] <= box[a] + eps for a in range(3))
-                        table[oi, ok_] = sep
-                        any_ok = any_ok or sep
-                if not any_ok:
-                    return self._verdict(Outcome.NO_FIT)
-                self.pair_sep[i, k] = table
+        # A pair with no separating axis under any orientation combination
+        # cannot coexist in the box.
+        min_ext = _smallest_extents(options)
+        if _pair_screen_refutes(min_ext, bounds):
+            return self._verdict(Outcome.NO_FIT)
 
-        min_ext = [tuple(min(e[a] for e in opts) for a in range(3)) for opts in options]
         lo = [[0.0] * n for _ in range(3)]
         hi = [[box[a] - min_ext[i][a] for i in range(n)] for a in range(3)]
 
@@ -180,7 +224,6 @@ class _Search:
 
         self.n = n
         self.ext: list[Optional[tuple]] = [None] * n  # None until oriented
-        self.choice = [-1] * n  # index of the chosen option
         self.pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
         # "k before i along x" contradicts the identical-order edge.
         self.x_ordered = [pair in ident_pairs for pair in self.pairs]
@@ -246,7 +289,6 @@ class _Search:
         one of them empties."""
         e = self.options[i][opt_idx]
         self.ext[i] = e
-        self.choice[i] = opt_idx
         shrunk = []
         for a in range(3):
             bound = self.box[a] - e[a]
@@ -389,33 +431,25 @@ class _Search:
             self._undo(trail)
             return False
 
+        # An orientation is tried only when it has a separating axis with
+        # every carton already oriented.
         i = best_orient
-        choice = self.choice
-        for opt_idx in range(len(options[i])):
-            compatible = True
-            for k in range(self.n):
-                if k == i or ext[k] is None:
-                    continue
-                if i < k:
-                    sep = self.pair_sep[i, k][opt_idx, choice[k]]
-                else:
-                    sep = self.pair_sep[k, i][choice[k], opt_idx]
-                if not sep:
-                    compatible = False
+        bx, by, bz = self.bounds
+        for opt_idx, (xi, yi, zi) in enumerate(options[i]):
+            for ek in ext:
+                if ek is not None and xi + ek[0] > bx and yi + ek[1] > by and zi + ek[2] > bz:
                     break
-            if not compatible:
-                continue
-            self.nodes += 1
-            nlo = [lo[0][:], lo[1][:], lo[2][:]]
-            nhi = [hi[0][:], hi[1][:], hi[2][:]]
-            # Every axis is at its fixpoint on entry, so only the axes the
-            # orientation shrank can change.
-            shrunk = self._apply_orientation(i, opt_idx, nlo, nhi)
-            if shrunk is not None and all(
-                    self._propagate(edges[a], nlo[a], nhi[a]) for a in shrunk):
-                if self._dfs(nlo, nhi):
-                    return True
-            ext[i] = None
-            choice[i] = -1
+            else:
+                self.nodes += 1
+                nlo = [lo[0][:], lo[1][:], lo[2][:]]
+                nhi = [hi[0][:], hi[1][:], hi[2][:]]
+                # Every axis is at its fixpoint on entry, so only the axes the
+                # orientation shrank can change.
+                shrunk = self._apply_orientation(i, opt_idx, nlo, nhi)
+                if shrunk is not None and all(
+                        self._propagate(edges[a], nlo[a], nhi[a]) for a in shrunk):
+                    if self._dfs(nlo, nhi):
+                        return True
+                ext[i] = None
         self._undo(trail)
         return False

@@ -85,6 +85,7 @@ def test_criterion_2_symmetry_toggles():
     dup_flags = [gendata.has_duplicate_cartons(p) for p in probs]
     assert len(probs) == 300 and sum(dup_flags) >= 100
     nodes_on, nodes_off = [], []
+    fit_on, fit_off = [], []  # duplicate-subset nodes, FIT instances only
     for prob, is_dup in zip(probs, dup_flags):
         verdicts = {}
         for ident in (True, False):
@@ -98,14 +99,28 @@ def test_criterion_2_symmetry_toggles():
         outcomes = {v.outcome for v in verdicts.values()}
         assert len(outcomes) == 1
         if is_dup:
-            nodes_on.append(verdicts[(True, True)].nodes)
-            nodes_off.append(verdicts[(False, False)].nodes)
+            on, off = verdicts[(True, True)].nodes, verdicts[(False, False)].nodes
+            nodes_on.append(on)
+            nodes_off.append(off)
+            if verdicts[(True, True)].is_fit:
+                fit_on.append(on)
+                fit_off.append(off)
+            else:
+                # a NO_FIT proof searches the whole tree, which the two
+                # families exist to cut
+                assert on <= off
     med_on = statistics.median(nodes_on)
     med_off = statistics.median(nodes_off)
     assert med_on <= med_off
+    # On FITs the pruned order can reach a witness later; summed over the
+    # subset it must still search less.
+    assert fit_on and sum(fit_on) <= sum(fit_off)
     print(f"\nPASS criterion 2: identical verdicts across all 4 toggle combos "
           f"on 300/300; duplicate-subset median nodes {med_on} (on) <= "
-          f"{med_off} (off) over {len(nodes_on)} instances")
+          f"{med_off} (off) over {len(nodes_on)} instances; on <= off on each of "
+          f"{len(nodes_on) - len(fit_on)} NO_FITs; FITs summed {sum(fit_on)} (on) <= "
+          f"{sum(fit_off)} (off), medians {statistics.median(fit_on)} (on) and "
+          f"{statistics.median(fit_off)} (off) over {len(fit_on)}")
 
 
 def test_criterion_3_fast_path_soundness():

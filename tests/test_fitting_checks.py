@@ -23,7 +23,15 @@ from boxsuite.fitting import (
 )
 from boxsuite.fitting.checks import MAX_EXTENT_SUMS, extent_sums, normal_pattern_box
 from boxsuite.fitting.types import carton_key
-from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, tolerance_for
+from boxsuite.model import (
+    BoxSet,
+    CandidateBox,
+    Carton,
+    Dims3,
+    Shipment,
+    canonical_dims,
+    tolerance_for,
+)
 
 from conftest import five_to_seven_carton_world, passes_necessity, random_fit_problem
 
@@ -82,6 +90,39 @@ def test_stacking_guard_rejects_oversized_member():
     # Sums alone would pass; the 5-long carton cannot fit at all.
     pair = [Carton(Dims3(5, 1, 1)), Carton(Dims3(1, 1, 1))]
     assert not fits_stacking(pair, Dims3(4, 4, 4))
+
+
+def _stacking_reference(cartons, box):
+    """``fits_stacking`` as three passes: oriented dims, then their sums and
+    maxima, then the guard."""
+    eps = tolerance_for(box)
+    eff = [canonical_dims(c.dims.as_tuple(), c.pins_vertical) for c in cartons]
+    sums = [sum(e[a] for e in eff) for a in range(3)]
+    maxs = [max(e[a] for e in eff) for a in range(3)]
+    bx = canonical_dims(box.as_tuple(), any(c.pins_vertical for c in cartons))
+    if not all(maxs[a] <= bx[a] + eps for a in range(3)):
+        return False
+    if sums[0] <= bx[0] + eps or sums[1] <= bx[1] + eps:
+        return True
+    return sum(1 for c in cartons if c.bottom_resting) <= 1 and sums[2] <= bx[2] + eps
+
+
+@given(
+    cartons=st.lists(st.tuples(st.tuples(*[st.integers(1, 6)] * 3), st.booleans(), st.booleans()),
+                     min_size=1, max_size=5),
+    box=st.tuples(*[st.integers(1, 15)] * 3),
+    nudge=st.tuples(*[st.sampled_from((-1.5, -0.5, 0.0, 0.5))] * 3),
+    scale=st.sampled_from((1.0, 1e3)),
+)
+@settings(max_examples=400, deadline=None)
+def test_stacking_matches_its_reference(cartons, box, nudge, scale):
+    # integral dims sum exactly, so the reference's order of addition
+    # cannot matter; the nudges put box axes within eps of those sums
+    cs = [Carton(Dims3(*(scale * v for v in d)), height_oriented=ho, bottom_resting=br)
+          for d, ho, br in cartons]
+    unit = 1e-9 * scale * max(box)
+    dims = Dims3(*(scale * v + k * unit for v, k in zip(box, nudge)))
+    assert fits_stacking(cs, dims) is _stacking_reference(cs, dims)
 
 
 def test_necessary_condition_mixed_shipment():

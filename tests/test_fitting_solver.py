@@ -2,7 +2,7 @@
 import random
 import statistics
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxsuite import fitmatrix
@@ -13,10 +13,11 @@ from boxsuite.fitting import (
     SolverConfig,
     check_witness,
     oracle_fit,
+    orientation_extents,
     solve_fit,
     solver,
 )
-from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment
+from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment, tolerance_for
 
 from conftest import five_to_seven_carton_world, random_fit_problem
 
@@ -215,6 +216,89 @@ def test_orientation_reduction_keeps_the_oracle_verdict(monkeypatch):
 
     agrees()
     assert sum(examples) >= len(examples) // 10  # 16% to 33% in six runs when written
+
+
+# -- root screens -------------------------------------------------------------
+
+
+@st.composite
+def root_options(draw):
+    """One to five cartons' allowed orientations in a box, as the root builds
+    them, with the box eps. Box axes are drawn near sums of two extents and
+    nudged by a fraction of eps, so many comparisons fall within eps."""
+    scale = draw(st.sampled_from((1.0, 1e3)))
+    kinds = draw(st.lists(st.tuples(*[st.integers(1, 6)] * 3), min_size=1, max_size=3))
+    cartons = [Carton(Dims3(*(scale * v for v in draw(st.sampled_from(kinds)))),
+                      height_oriented=draw(st.booleans()), bottom_resting=draw(st.booleans()))
+               for _ in range(draw(st.integers(1, 5)))]
+    box = [scale * draw(st.integers(2, 12)) for _ in range(3)]
+    unit = 1e-9 * max(box)
+    box = tuple(v + draw(st.sampled_from((-1.5, -0.5, 0.0, 0.5, 1.5))) * unit for v in box)
+    eps = tolerance_for(Dims3(*box))
+    options = [[e for e in orientation_extents(c) if all(e[a] <= box[a] + eps for a in range(3))]
+               for c in cartons]
+    assume(all(options))
+    return options, box, eps
+
+
+def _separable(ei, ek, box, eps):
+    return any(ei[a] + ek[a] <= box[a] + eps for a in range(3))
+
+
+@given(case=root_options())
+@settings(max_examples=400, deadline=None)
+def test_pair_screen_is_the_orientation_pair_search(case):
+    options, box, eps = case
+    n = len(options)
+    brute = any(not any(_separable(ei, ek, box, eps) for ei in options[i] for ek in options[k])
+                for i in range(n) for k in range(i + 1, n))
+    bounds = tuple(v + eps for v in box)
+    assert solver._pair_screen_refutes(solver._smallest_extents(options), bounds) is brute
+
+
+def _meeting_axes_brute(low, box, eps):
+    n = len(low)
+    return [[a for a in range(3)
+             if not any(low[i][a] + low[k][a] <= box[a] + eps for k in range(n) if k != i)]
+            for i in range(n)]
+
+
+@given(case=root_options())
+@settings(max_examples=400, deadline=None)
+def test_meeting_axes_is_the_all_pairs_rule(case):
+    options, box, eps = case
+    low = [[min(e[a] for e in opts) for a in range(3)] for opts in options]
+    bounds = tuple(v + eps for v in box)
+    assert solver._meeting_axes(low, bounds) == _meeting_axes_brute(low, box, eps)
+    reference = []
+    for opts, axes in zip(options, _meeting_axes_brute(low, box, eps)):
+        for a in axes:
+            b, c = (a + 1) % 3, (a + 2) % 3
+            opts = [e for e in opts
+                    if not any(f != e and f[b] <= e[b] and f[c] <= e[c] for f in opts)]
+        reference.append(opts)
+    assert solver._drop_dominated_orientations(options, box, eps) == reference
+
+
+def test_a_lone_carton_meets_no_other_on_every_axis():
+    # with no other carton the rule holds vacuously, so the reduction runs
+    assert solver._meeting_axes([(1.0, 2.0, 3.0)], (1.0, 1.0, 1.0)) == [[0, 1, 2]]
+    options = [list(orientation_extents(Carton(Dims3(1, 2, 3))))]
+    assert solver._drop_dominated_orientations(options, (3.0, 3.0, 3.0), 0.0) == [[(3, 2, 1)]]
+
+
+def test_root_screens_decide_within_eps():
+    # two 3-cubes side by side along an axis eps/2 short of 6: they share
+    # the box only through eps, and never along the 4-long axes
+    box = (6.0 - 0.5 * 6e-9, 4.0, 4.0)
+    eps = tolerance_for(Dims3(*box))
+    bounds = tuple(v + eps for v in box)
+    assert not solver._pair_screen_refutes([(3.0, 3.0, 3.0)] * 2, bounds)
+    assert solver._pair_screen_refutes([(3.0, 3.0, 3.0)] * 2, box)
+    assert solver._meeting_axes([(3.0, 3.0, 3.0)] * 2, bounds) == [[1, 2], [1, 2]]
+    two = FitProblem((Carton(Dims3(3, 3, 3)),) * 2, Dims3(*box))
+    verdict = solve_fit(two, GENEROUS)
+    assert verdict.is_fit and check_witness(two, verdict.witness)
 
 
 def _flat_box_world(seed):
