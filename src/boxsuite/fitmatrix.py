@@ -376,12 +376,10 @@ def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
     ``csv_sha256``, fit.npz's to its ``npz_sha256``, and the npz's ids are
     the given shipments' and boxes' ids in the given order. So an edited
     fit.csv always wins over an intact npz, and a stale or altered npz is
-    never loaded. Otherwise, files made only of ``digits,digits`` lines
-    (``\\n`` or ``\\r\\n``, after an optional ``shipment_id,box_id`` header)
-    are parsed a chunk at a time with numpy; any other file, and any file
-    with an error, goes through the per-line csv reader, which returns the
-    same matrix and raises the ``DataError`` naming the offending line.
-    The manifest's counts and input digests are checked on every path.
+    never loaded. Otherwise fit.csv is read a line at a time; a repeated
+    shipment id loads into its last row, and a bad line raises the
+    ``DataError`` naming it. The manifest's counts and input digests are
+    checked on both paths.
     """
     path = Path(path)
     n, J = len(shipments), len(boxes)
@@ -389,14 +387,14 @@ def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
         candidate = path.with_suffix(".manifest.json")
         manifest_path = candidate if candidate.exists() else None
     manifest = json.loads(Path(manifest_path).read_text()) if manifest_path else {}
+    timeouts = [tuple(t) for t in manifest.get("timeouts", [])]
+    config_hash = manifest.get("config_hash", "")
     csr = _read_npz(path, manifest, shipments, boxes)
     if csr is None:
-        csr = _read_csr(path, shipments, boxes)
-    if csr is None:
-        mat = FitMatrix(n, J, _read_rows_per_line(path, shipments, boxes))
-        csr = mat.indptr, mat.indices
-    mat = FitMatrix.from_csr(n, J, *csr, [tuple(t) for t in manifest.get("timeouts", [])],
-                             manifest.get("config_hash", ""))
+        mat = FitMatrix(n, J, _read_rows_per_line(path, shipments, boxes), timeouts,
+                        config_hash)
+    else:
+        mat = FitMatrix.from_csr(n, J, *csr, timeouts, config_hash)
     if manifest:
         expected = {"shipments": n, "boxes": J, "set_bits": mat.set_bits,
                     "boxes_digest": _boxes_digest(boxes),
@@ -444,7 +442,7 @@ def _read_npz(path: Path, manifest: Mapping, shipments: Sequence[Shipment],
 
 def _read_rows_per_line(path: Path, shipments: Sequence[Shipment],
                         boxes: BoxSet) -> list[list[int]]:
-    ship_index = {s.id: i for i, s in enumerate(shipments)}
+    ship_index = {s.id: i for i, s in enumerate(shipments)}  # a repeated id: its last row
     rows: list[list[int]] = [[] for _ in shipments]
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -459,126 +457,16 @@ def _read_rows_per_line(path: Path, shipments: Sequence[Shipment],
                 raise DataError(f"{path}:{lineno}: non-integer id") from exc
             if sid not in ship_index:
                 raise DataError(f"{path}:{lineno}: unknown shipment id {sid}")
-            rows[ship_index[sid]].append(boxes.index_of(bid))
+            try:
+                j = boxes.index_of(bid)
+            except DataError:
+                raise DataError(f"{path}:{lineno}: unknown box id {bid}") from None
+            rows[ship_index[sid]].append(j)
     return rows
 
 
 _CHUNK_BYTES = 1 << 18
 _HEADER = b"shipment_id,box_id"
-# Byte classes of the fast reader's grammar; anything else is class 0.
-_DIGIT, _COMMA, _CR, _LF = 1, 2, 3, 4
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord(","), ord("\r"), ord("\n")]] = (_COMMA, _CR, _LF)
-_MAX_FIELD = 18  # bytes, a trailing \r included, so every id fits int64
-_SEPARATORS_TO_SPACE = bytes.maketrans(b",\r\n", b"   ")
-
-
-def _read_csr(path: Path, shipments: Sequence[Shipment],
-              boxes: BoxSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """fit.csv as CSR (indptr, indices), or None when the per-line reader
-    must decide: a byte outside the grammar, an unknown id, or no shipments.
-
-    Lines in (row, column) order, as ``save_csv`` writes them, append their
-    columns as they come; out-of-order or repeated lines switch to collecting
-    row * J + column keys, which are sorted and deduplicated at the end.
-    """
-    n, J = len(shipments), len(boxes)
-    if n == 0:
-        return None
-    try:
-        ship_ids, ship_rows = _id_lookup([s.id for s in shipments])
-        box_ids, box_cols = _id_lookup(boxes.ids)
-    except OverflowError:
-        return None
-    counts = np.zeros(n, dtype=np.int64)
-    cols: list[np.ndarray] = []
-    keys: Optional[list[np.ndarray]] = None
-    last = -1
-    carry, first = b"", True
-    with path.open("rb") as fh:
-        while True:
-            data = fh.read(_CHUNK_BYTES)
-            buf = carry + data
-            if data:
-                cut = buf.rfind(b"\n") + 1
-                if cut == 0:
-                    if len(buf) > _CHUNK_BYTES:
-                        return None
-                    carry = buf
-                    continue
-                buf, carry = buf[:cut], buf[cut:]
-            elif not buf:
-                break
-            else:
-                buf, carry = buf + b"\n", b""  # last line without a newline
-            if first:
-                first = False
-                for header in (_HEADER + b"\r\n", _HEADER + b"\n"):
-                    if buf.startswith(header):
-                        buf = buf[len(header):]
-                        break
-            pairs = _parse_chunk(buf)
-            if pairs is None:
-                return None
-            r = _lookup(ship_ids, ship_rows, pairs[:, 0])
-            c = _lookup(box_ids, box_cols, pairs[:, 1])
-            if r is None or c is None:
-                return None
-            if not r.size:
-                continue
-            key = r * J + c
-            if keys is None and key[0] > last and (np.diff(key) > 0).all():
-                counts += np.bincount(r, minlength=n)
-                cols.append(c.astype(np.int32))
-                last = int(key[-1])
-                continue
-            if keys is None:
-                keys = [np.repeat(np.arange(n), counts) * J + np.concatenate(cols)] if cols else []
-            keys.append(key)
-    if keys is not None:
-        key = np.sort(np.concatenate(keys))
-        key = key[np.r_[True, key[1:] != key[:-1]]]
-        counts = np.bincount(key // J, minlength=n)
-        cols = [(key % J).astype(np.int32)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.concatenate(cols) if cols else np.zeros(0, dtype=np.int32)
-
-
-def _parse_chunk(buf: bytes) -> Optional[np.ndarray]:
-    """(shipment id, box id) pairs of a buffer of whole ``digits,digits``
-    lines, or None when it holds anything else."""
-    cls = _BYTE_CLASS[np.frombuffer(buf, dtype=np.uint8)]
-    if not cls.all():
-        return None
-    seps = np.flatnonzero((cls == _COMMA) | (cls == _LF))
-    kinds = cls[seps]
-    if kinds.size % 2 or (kinds[0::2] != _COMMA).any() or (kinds[1::2] != _LF).any():
-        return None
-    cr = np.flatnonzero(cls == _CR)  # only as \r\n after a digit
-    if cr.size and (cr[0] == 0 or (cls[cr + 1] != _LF).any() or (cls[cr - 1] != _DIGIT).any()):
-        return None
-    widths = np.diff(seps, prepend=-1) - 1
-    if widths.size and (widths.min() < 1 or widths.max() > _MAX_FIELD):
-        return None
-    vals = np.fromstring(buf.translate(_SEPARATORS_TO_SPACE), dtype=np.int64, sep=" ")
-    return vals.reshape(-1, 2) if vals.size == seps.size else None
-
-
-def _id_lookup(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ids and, for each, its last position in ``ids``."""
-    ids = np.array(ids, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    last = np.r_[ids[1:] != ids[:-1], True]
-    return ids[last], order[last]
-
-
-def _lookup(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> Optional[np.ndarray]:
-    """values at ids' positions in keys, or None when an id is missing."""
-    k = np.minimum(np.searchsorted(keys, ids), keys.size - 1)
-    return values[k] if (keys[k] == ids).all() else None
 
 
 # -- the scan ------------------------------------------------------------------

@@ -13,18 +13,18 @@ from boxsuite.pmedian.interchange import local_search_interchange
 __all__ = ["GraspParams", "greedy_construct", "path_relink", "solve_grasp"]
 
 
+_RCL_ALPHA = 0.2  # restricted candidate list width of every randomized construction
+
+
 @dataclass(frozen=True)
 class GraspParams:
     iterations: int = 32
     elite_size: int = 10
-    rcl_alpha: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1 or self.elite_size < 1:
             raise DataError("iterations and elite_size must be >= 1")
-        if not 0.0 <= self.rcl_alpha <= 1.0:
-            raise DataError("rcl_alpha must be in [0, 1]")
 
 
 def greedy_construct(inst: PMedianInstance, rng: np.random.Generator,
@@ -131,7 +131,7 @@ def solve_grasp(inst: PMedianInstance, params: GraspParams | None = None) -> Sol
 
     for it, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        alpha = 0.0 if it == 0 else params.rcl_alpha
+        alpha = 0.0 if it == 0 else _RCL_ALPHA
         constructed = greedy_construct(inst, rng, alpha)
         local = local_search_interchange(inst, constructed)
         consider(local.suite, local.cost)

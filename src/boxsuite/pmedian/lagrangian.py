@@ -13,22 +13,18 @@ from boxsuite.pmedian.interchange import local_search_interchange
 __all__ = ["LagrangianParams", "dual_value", "solve_lagrangian"]
 
 
+_THETA0 = 2.0  # the first step-size factor
+_HALVING_PATIENCE = 30  # iterations without a better bound before the factor halves
+_TARGET_GAP = 1e-4  # relative gap at which the ascent stops
+
+
 @dataclass(frozen=True)
 class LagrangianParams:
     max_iters: int = 1000
-    theta0: float = 2.0
-    halving_patience: int = 30
-    target_gap: float = 1e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
-        if self.theta0 <= 0:
-            raise DataError("theta0 must be positive")
-        if self.halving_patience < 1:
-            raise DataError("halving_patience must be >= 1")
-        if self.target_gap < 0:
-            raise DataError("target_gap must be nonnegative")
 
 
 def dual_value(inst: PMedianInstance, lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -58,7 +54,7 @@ def solve_lagrangian(inst: PMedianInstance,
     if params is None:
         params = LagrangianParams()
     lam = np.zeros(inst.n)
-    theta = params.theta0
+    theta = _THETA0
     best_lb = -np.inf
     best_ub = np.inf
     best_suite: Suite | None = None
@@ -72,7 +68,7 @@ def solve_lagrangian(inst: PMedianInstance,
             stall = 0
         else:
             stall += 1
-            if stall >= params.halving_patience:
+            if stall >= _HALVING_PATIENCE:
                 theta *= 0.5
                 stall = 0
 
@@ -109,7 +105,7 @@ def solve_lagrangian(inst: PMedianInstance,
             break
 
         denom = max(abs(best_ub), 1.0)
-        if best_ub - best_lb <= params.target_gap * denom:
+        if best_ub - best_lb <= _TARGET_GAP * denom:
             break
         if best_ub - best_lb <= 1e-9 * max(1.0, abs(best_ub)):
             break

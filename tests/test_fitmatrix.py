@@ -415,8 +415,8 @@ def _sparse_world():
 
 
 @pytest.fixture
-def per_line_calls(monkeypatch):
-    """Counts the per-line reader's calls; in-grammar files must not need it."""
+def text_reads(monkeypatch):
+    """Counts the per-line text reader's calls; a saved matrix must not need it."""
     calls = []
     original = fitmatrix._read_rows_per_line
 
@@ -425,20 +425,6 @@ def per_line_calls(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(fitmatrix, "_read_rows_per_line", counted)
-    return calls
-
-
-@pytest.fixture
-def csv_parses(monkeypatch):
-    """Counts the chunked text reader's calls; a saved matrix must not need it."""
-    calls = []
-    original = fitmatrix._read_csr
-
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(fitmatrix, "_read_csr", counted)
     return calls
 
 
@@ -464,48 +450,31 @@ def test_save_csv_matches_csv_writer(tmp_path, rows):
 
 
 ACCEPTED = {
-    # name: (file text, taken by the chunked numpy reader)
-    "crlf": ("shipment_id,box_id\r\n500,7\r\n500,3\r\n9,1000\r\n", True),
-    "lf": ("shipment_id,box_id\n500,7\n500,3\n9,1000\n", True),
-    "no header": ("500,7\r\n500,3\r\n9,1000\r\n", True),
-    "no final newline": ("shipment_id,box_id\r\n500,7\r\n9,1000", True),
-    "header only": ("shipment_id,box_id", True),
-    "empty file": ("", True),
-    "unsorted": ("9,1000\r\n500,3\r\n123456789,42\r\n500,7\r\n", True),
-    "duplicates": ("500,7\r\n500,7\r\n9,1000\r\n500,3\r\n9,1000\r\n", True),
-    "leading zeros": ("0500,007\n9,1000\n", True),
-    "blank lines": ("shipment_id,box_id\r\n\r\n500,7\r\n\r\n9,1000\r\n", False),
-    "spaces": ("shipment_id,box_id\n500, 7\n 9,1000\n", False),
-    "quoted": ('shipment_id,box_id\n"500","7"\n9,"1000"\n', False),
-    "other header": ("shipment_id,box\n500,7\n", False),
-    "bare cr": ("500,7\r9,1000\r", False),
+    "crlf": "shipment_id,box_id\r\n500,7\r\n500,3\r\n9,1000\r\n",
+    "lf": "shipment_id,box_id\n500,7\n500,3\n9,1000\n",
+    "no header": "500,7\r\n500,3\r\n9,1000\r\n",
+    "no final newline": "shipment_id,box_id\r\n500,7\r\n9,1000",
+    "header only": "shipment_id,box_id",
+    "empty file": "",
+    "unsorted": "9,1000\r\n500,3\r\n123456789,42\r\n500,7\r\n",
+    "duplicates": "500,7\r\n500,7\r\n9,1000\r\n500,3\r\n9,1000\r\n",
+    "leading zeros": "0500,007\n9,1000\n",
+    "blank lines": "shipment_id,box_id\r\n\r\n500,7\r\n\r\n9,1000\r\n",
+    "spaces": "shipment_id,box_id\n500, 7\n 9,1000\n",
+    "quoted": 'shipment_id,box_id\n"500","7"\n9,"1000"\n',
+    "other header": "shipment_id,box\n500,7\n",
+    "bare cr": "500,7\r9,1000\r",
 }
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTED))
-def test_reader_variants_load_like_the_per_line_loop(tmp_path, per_line_calls, name):
-    text, fast = ACCEPTED[name]
+def test_reader_variants_load_like_the_per_line_loop(tmp_path, name):
     boxes, ships = _sparse_world()
     out = tmp_path / "fit.csv"
-    out.write_bytes(text.encode())
+    out.write_bytes(ACCEPTED[name].encode())
     mat = load_fit_matrix(out, ships, boxes)
     assert mat.rows == _per_line_rows(out, ships, boxes)
     assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int64
-    assert bool(per_line_calls) != fast
-
-
-def test_reader_chunk_boundaries(tmp_path, monkeypatch, per_line_calls):
-    # Tiny chunks: lines straddle reads, and the out-of-order tail switches
-    # the reader from appending columns to sorting keys.
-    monkeypatch.setattr(fitmatrix, "_CHUNK_BYTES", 16)
-    boxes, ships = _sparse_world()
-    out = tmp_path / "fit.csv"
-    for text in ("shipment_id,box_id\r\n500,7\r\n500,1000\r\n500,3\r\n9,3\r\n"
-                 "9,42\r\n123456789,3\r\n123456789,42\r\n",
-                 "shipment_id,box_id\n500,7\n500,1000\n9,3\n9,42\n500,3\n500,7\n9,42\n"):
-        out.write_bytes(text.encode())
-        assert load_fit_matrix(out, ships, boxes).rows == _per_line_rows(out, ships, boxes)
-    assert per_line_calls == []
 
 
 REJECTED = {
@@ -513,7 +482,7 @@ REJECTED = {
     "three columns": ("shipment_id,box_id\n500,7\n9,3,1\n", "3: expected shipment_id,box_id"),
     "non-integer id": ("shipment_id,box_id\n500,7\n9,x\n", "3: non-integer id"),
     "unknown shipment": ("500,7\r\n501,7\r\n", "2: unknown shipment id 501"),
-    "unknown box": ("shipment_id,box_id\r\n500,7\r\n9,8\r\n", None),
+    "unknown box": ("shipment_id,box_id\r\n500,7\r\n9,8\r\n", "3: unknown box id 8"),
 }
 
 
@@ -525,7 +494,7 @@ def test_reader_rejects_with_the_per_line_message(tmp_path, name):
     out.write_bytes(text.encode())
     with pytest.raises(DataError) as exc:
         load_fit_matrix(out, ships, boxes)
-    assert str(exc.value) == (f"{out}:{where}" if where else "unknown box id 8")
+    assert str(exc.value) == f"{out}:{where}"
 
 
 def test_reader_does_not_saturate_oversized_ids(tmp_path):
@@ -539,14 +508,13 @@ def test_reader_does_not_saturate_oversized_ids(tmp_path):
     assert str(exc.value) == f"{out}:2: unknown shipment id 99999999999999999999"
 
 
-def test_repeated_shipment_ids_load_into_the_last_row(tmp_path, per_line_calls):
+def test_repeated_shipment_ids_load_into_the_last_row(tmp_path):
     boxes, ships = _sparse_world()
     ships += [make_shipment(9, [(1, 1, 1)]), make_shipment(500, [(1, 1, 1)])]
     out = tmp_path / "fit.csv"
     out.write_bytes(b"500,7\r\n9,1000\r\n500,3\r\n")
     mat = load_fit_matrix(out, ships, boxes)
     assert mat.rows == _per_line_rows(out, ships, boxes) == ((), (), (), (), (1,), (0, 2))
-    assert per_line_calls == []
 
 
 def test_manifest_mismatch_message(tmp_path):
@@ -588,7 +556,7 @@ def test_manifest_digests_refuse_other_inputs(tmp_path):
     assert load_fit_matrix(out, other, other_boxes).rows == mat.rows
 
 
-def test_digests_ignore_input_order_and_locks(tmp_path, csv_parses):
+def test_digests_ignore_input_order_and_locks(tmp_path, text_reads):
     boxes = BoxSet([CandidateBox(1, Dims3(1, 2, 3)), CandidateBox(2, Dims3(3, 2, 1)),
                     CandidateBox(3, Dims3(2, 2, 2))])
     tied = BoxSet(boxes.boxes[::-1], locked_ids=[3])  # equal volumes keep input order
@@ -604,7 +572,7 @@ def test_digests_ignore_input_order_and_locks(tmp_path, csv_parses):
         return {(ss[i].id, bs[j].id) for i, row in enumerate(m.rows) for j in row}
 
     assert pairs(back, shuffled, tied) == pairs(mat, ships, boxes) and mat.set_bits == 6
-    assert csv_parses == [out]  # the npz holds the ids in the saved order
+    assert text_reads == [out]  # the npz holds the ids in the saved order
 
 
 def test_digests_of_a_fixed_input_are_pinned():
@@ -668,17 +636,16 @@ def _save(tmp_path, ships, boxes, rows=EQUAL_VOLUME_ROWS):
     return mat, out
 
 
-def test_saved_matrix_loads_from_the_npz_without_a_text_parse(tmp_path, csv_parses,
-                                                              per_line_calls):
+def test_saved_matrix_loads_from_the_npz_without_a_text_parse(tmp_path, text_reads):
     boxes, ships = _random_world(63, n_ships=8)
     mat, _ = compute_fit_matrix(ships, boxes)
     out = tmp_path / "fit.csv"
     mat.save_csv(out, ships, boxes)
     back = load_fit_matrix(out, ships, boxes)
-    assert csv_parses == [] and per_line_calls == []
+    assert text_reads == []
     out.with_suffix(".npz").unlink()
     text = load_fit_matrix(out, ships, boxes)
-    assert csv_parses == [out]
+    assert text_reads == [out]
     assert np.array_equal(back.indptr, text.indptr) and back.indptr.dtype == text.indptr.dtype
     assert np.array_equal(back.indices, text.indices) and back.indices.dtype == text.indices.dtype
     assert back.rows == text.rows == mat.rows
@@ -717,13 +684,13 @@ NPZ_FALLBACKS = {
 
 
 @pytest.mark.parametrize("name", sorted(NPZ_FALLBACKS))
-def test_npz_that_does_not_match_falls_back_to_the_csv(tmp_path, csv_parses, name):
+def test_npz_that_does_not_match_falls_back_to_the_csv(tmp_path, text_reads, name):
     boxes, ships = _equal_volume_world()
     mat, out = _save(tmp_path, ships, boxes)
     assert out.with_suffix(".npz").exists()
     ships, boxes = NPZ_FALLBACKS[name](out, ships, boxes)
     back = load_fit_matrix(out, ships, boxes)
-    assert csv_parses == [out]
+    assert text_reads == [out]
     assert back.rows == _per_line_rows(out, ships, boxes)
     assert back.set_bits == mat.set_bits
 
@@ -735,7 +702,7 @@ def test_npz_that_does_not_match_falls_back_to_the_csv(tmp_path, csv_parses, nam
     ([make_shipment(9, [(1, 1, 1)]), make_shipment(500, [(1, 1, 1)])],
      EQUAL_VOLUME_ROWS + [(0,), (3,)]),
 ])
-def test_ids_the_npz_cannot_hold_write_no_npz(tmp_path, csv_parses, extra, rows):
+def test_ids_the_npz_cannot_hold_write_no_npz(tmp_path, text_reads, extra, rows):
     boxes, ships = _equal_volume_world()
     ships += extra
     (tmp_path / "fit.npz").write_bytes(b"left by an earlier save")
@@ -743,11 +710,11 @@ def test_ids_the_npz_cannot_hold_write_no_npz(tmp_path, csv_parses, extra, rows)
     assert not out.with_suffix(".npz").exists()
     assert json.loads(out.with_suffix(".manifest.json").read_text())["npz_sha256"] is None
     back = load_fit_matrix(out, ships, boxes)
-    assert csv_parses == [out]
+    assert text_reads == [out]
     assert back.rows == _per_line_rows(out, ships, boxes)
 
 
-def test_edited_csv_wins_over_an_intact_npz(tmp_path, csv_parses):
+def test_edited_csv_wins_over_an_intact_npz(tmp_path, text_reads):
     boxes, ships = _equal_volume_world()
     mat, out = _save(tmp_path, ships, boxes)
     lines = out.read_bytes().split(b"\r\n")
@@ -761,10 +728,10 @@ def test_edited_csv_wins_over_an_intact_npz(tmp_path, csv_parses):
     manifest_path.write_text(json.dumps(manifest))
     back = load_fit_matrix(out, ships, boxes)
     assert back.rows == _per_line_rows(out, ships, boxes) == ((0, 2), (), (1, 3), (3,))
-    assert csv_parses == [out, out]
+    assert text_reads == [out, out]
 
 
-def test_npz_path_refuses_manifest_mismatches(tmp_path, csv_parses):
+def test_npz_path_refuses_manifest_mismatches(tmp_path, text_reads):
     boxes, ships = _equal_volume_world()
     mat, out = _save(tmp_path, ships, boxes)
     manifest_path = out.with_suffix(".manifest.json")
@@ -786,7 +753,7 @@ def test_npz_path_refuses_manifest_mismatches(tmp_path, csv_parses):
     with pytest.raises(DataError) as exc:
         load_fit_matrix(out, ships, boxes)
     assert str(exc.value) == "fit matrix manifest disagrees on set_bits: 5 != 6"
-    assert csv_parses == []
+    assert text_reads == []
 
 
 def test_csr_accessors_and_fitting_boxes_view():

@@ -544,8 +544,6 @@ class TestGrasp:
     def test_invalid_params_rejected(self):
         with pytest.raises(DataError):
             GraspParams(iterations=0)
-        with pytest.raises(DataError):
-            GraspParams(rcl_alpha=1.5)
 
 
 class TestLagrangian:
