@@ -33,6 +33,7 @@ from boxsuite.model import (
     save_boxes,
 )
 from boxsuite.pipeline import (
+    METHODS,
     NO_FEASIBLE_MESSAGE,
     RunConfig,
     compare_suites,
@@ -136,10 +137,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     boxes = load_boxes(args.boxes)
     shipments = load_shipments(args.shipments, args.items)
     cfg = FitScanConfig(
-        solver=SolverConfig(
-            time_limit=args.time_limit_ms / 1000.0,
-            use_identical_symmetry=not args.no_sym_identical,
-            use_orthant_symmetry=not args.no_sym_orthant),
+        solver=SolverConfig(time_limit=args.time_limit_ms / 1000.0),
         threads=args.threads if args.threads is not None else _threads_default())
     fitm, packables = compute_fit_matrix(shipments, boxes, cfg=cfg)
     fitm.save_csv(args.out, shipments, boxes)
@@ -273,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--time-limit-ms", type=int, default=5000)
     p_fit.add_argument("--threads", type=int, default=None,
                        help="worker processes (default: BOXSUITE_THREADS, else 1)")
-    p_fit.add_argument("--no-sym-identical", action="store_true")
-    p_fit.add_argument("--no-sym-orthant", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 
     p_rec = sub.add_parser("recommend", help="select the best p boxes")
@@ -285,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("-p", type=int, required=True)
     p_rec.add_argument("--lock", default="")
     p_rec.add_argument("--cost", default="inner-volume")
-    p_rec.add_argument("--method", default="grasp",
-                       choices=["exact", "exchange", "grasp", "lagrangian"])
+    p_rec.add_argument("--method", default="grasp", choices=METHODS)
     p_rec.add_argument("--graspit", type=int, default=32)
     p_rec.add_argument("--elite", type=int, default=10)
     p_rec.add_argument("--seed", type=int, default=0)

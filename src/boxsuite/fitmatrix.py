@@ -188,10 +188,6 @@ class PackableSet:
     W: tuple[int, ...]
     fit: FitMatrix = field(repr=False, compare=False)
 
-    @property
-    def I_hat(self) -> int:
-        return len(self.W)
-
 
 class FitMatrix:
     """Sparse boolean shipment-by-box feasibility matrix in CSR form.
@@ -252,9 +248,10 @@ class FitMatrix:
     # -- persistence ----------------------------------------------------------
 
     def save_csv(self, path: str | Path, shipments: Sequence[Shipment],
-                 boxes: BoxSet, manifest_path: Optional[str | Path] = None) -> None:
+                 boxes: BoxSet) -> None:
         """Write ``shipment_id,box_id`` lines with ``\\r\\n`` terminators, a
-        block of rows per write, then fit.npz beside them, then the manifest.
+        block of rows per write, then fit.npz beside them, then the manifest
+        (``<stem>.manifest.json``).
 
         fit.npz holds the CSR arrays and the shipment and box ids in index
         order, uncompressed. It is left out (and an older one removed) when
@@ -293,8 +290,6 @@ class FitMatrix:
                 np.savez(fh, indptr=self.indptr, indices=self.indices,
                          shipment_ids=ids[0], box_ids=ids[1])
             npz_sha256 = _file_sha256(npz_path)
-        if manifest_path is None:
-            manifest_path = path.with_suffix(".manifest.json")
         manifest = {
             "shipments": self.n_shipments,
             "boxes": self.n_boxes,
@@ -308,7 +303,7 @@ class FitMatrix:
             "version": __version__,
             "timeouts": [[sid, bid] for sid, bid in self.timeouts],
         }
-        Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
+        path.with_suffix(".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 _SAVE_BLOCK = 64  # fit.csv rows per write; only one block's box lines are gathered at once
@@ -368,8 +363,9 @@ def _shipments_digest(shipments: Sequence[Shipment]) -> str:
 
 
 def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
-                    boxes: BoxSet, manifest_path: Optional[str | Path] = None) -> FitMatrix:
-    """Read fit.csv (and its manifest, when there is one) into a FitMatrix.
+                    boxes: BoxSet) -> FitMatrix:
+    """Read fit.csv (and its manifest ``<stem>.manifest.json``, when there is
+    one) into a FitMatrix.
 
     fit.npz beside fit.csv is read instead of the text when the manifest
     vouches for both files and the inputs: fit.csv's bytes hash to its
@@ -383,10 +379,8 @@ def load_fit_matrix(path: str | Path, shipments: Sequence[Shipment],
     """
     path = Path(path)
     n, J = len(shipments), len(boxes)
-    if manifest_path is None:
-        candidate = path.with_suffix(".manifest.json")
-        manifest_path = candidate if candidate.exists() else None
-    manifest = json.loads(Path(manifest_path).read_text()) if manifest_path else {}
+    manifest_path = path.with_suffix(".manifest.json")
+    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     timeouts = [tuple(t) for t in manifest.get("timeouts", [])]
     config_hash = manifest.get("config_hash", "")
     csr = _read_npz(path, manifest, shipments, boxes)
@@ -611,18 +605,18 @@ class _ShipmentScanner:
             rows[i] = row
         return rows
 
-    def _necessity(self, cartons: Sequence[Carton]) -> tuple[bool, np.ndarray]:
+    def _necessity(self, keys: tuple) -> tuple[bool, np.ndarray]:
         """Whether any carton pins the vertical axis, and per-carton
-        necessity over all boxes at once."""
+        necessity over all boxes at once, from the cartons' ``carton_key``
+        values (in any order)."""
         boxes = self.boxes
-        keys = [carton_key(c) for c in cartons]
         nec = np.ones(len(boxes), dtype=bool)
         for ho, view in ((False, boxes.sorted_dims), (True, boxes.sorted_lw_dims)):
             dims = [d for h, d, _ in keys if h == ho]
             if dims:
                 nec &= _covers(view, np.max(np.array(dims), axis=0, keepdims=True),
                                self._longest_eps)[0]
-        return any(c.pins_vertical for c in cartons), nec
+        return any(ho or br for ho, _, br in keys), nec
 
     def _scan(self, shipment: Shipment, j0: int, row: np.ndarray) -> list[tuple[int, int]]:
         """Fill ``row`` for a shipment of two or more cartons, visiting boxes
@@ -630,7 +624,7 @@ class _ShipmentScanner:
         boxes = self.boxes
         cartons = shipment.cartons
         keys = tuple(sorted(map(carton_key, cartons)))
-        pinned, nec = self._necessity(cartons)
+        pinned, nec = self._necessity(keys)
         up = self.nests.up_ho if pinned else self.nests.up_free
 
         timeouts: list[tuple[int, int]] = []
@@ -691,7 +685,7 @@ class _ShipmentScanner:
         boxes = self.boxes
         cartons = shipment.cartons
         keys = tuple(sorted(map(carton_key, cartons)))
-        pinned, nec = self._necessity(cartons)
+        pinned, nec = self._necessity(keys)
         up = self.nests.up_ho if pinned else self.nests.up_free
         cand = nec
         cand[:j0] = False

@@ -179,12 +179,16 @@ class _Search:
 
         self.bounds = bounds = tuple(v + eps for v in box)
         bx, by, bz = bounds
-        options = []
-        for c in cartons:
-            opts = [e for e in orientation_extents(c) if e[0] <= bx and e[1] <= by and e[2] <= bz]
-            if not opts:
-                return self._verdict(Outcome.NO_FIT)
-            options.append(opts)
+        # A carton's orientations depend on its key alone, so identical
+        # cartons share one list.
+        fitting: dict = {}
+        for c, key in zip(cartons, keys):
+            if key not in fitting:
+                fitting[key] = [e for e in orientation_extents(c)
+                                if e[0] <= bx and e[1] <= by and e[2] <= bz]
+        options = [fitting[key] for key in keys]
+        if not all(options):
+            return self._verdict(Outcome.NO_FIT)
         self.options = options = _drop_dominated_orientations(options, box, eps)
 
         box_volume = box[0] * box[1] * box[2]

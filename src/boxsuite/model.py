@@ -239,7 +239,7 @@ def _parse_dims(path: Path, lineno: int, cells: Sequence[str]) -> Dims3:
     return Dims3(*vals)
 
 
-def load_boxes(path: str | Path, locked_ids: Iterable[int] = ()) -> BoxSet:
+def load_boxes(path: str | Path) -> BoxSet:
     """Load ``box_id,dim1,dim2,dim3`` rows; dims are re-sorted nonincreasing."""
     path = Path(path)
     boxes = []
@@ -247,7 +247,7 @@ def load_boxes(path: str | Path, locked_ids: Iterable[int] = ()) -> BoxSet:
         box_id = _parse_int(path, lineno, cells[0], "box id")
         dims = sort3(_parse_dims(path, lineno, cells[1:4]))
         boxes.append(CandidateBox(box_id, dims))
-    return BoxSet(boxes, locked_ids)
+    return BoxSet(boxes)
 
 
 def load_shipments(path: str | Path, items_path: Optional[str | Path] = None) -> list[Shipment]:

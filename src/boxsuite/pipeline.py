@@ -34,8 +34,6 @@ from boxsuite.pmedian import (
     check_feasible,
     drop_dominated_columns,
     extract_assignment,
-    greedy_construct,
-    local_search_interchange,
     solve_exact,
     solve_grasp,
     solve_lagrangian,
@@ -46,6 +44,7 @@ __all__ = [
     "BoxLine",
     "ComparisonRow",
     "ComparisonTable",
+    "METHODS",
     "NO_FEASIBLE_MESSAGE",
     "RecommendOutcome",
     "REPORT_COLUMNS",
@@ -55,7 +54,6 @@ __all__ = [
     "ValidationReport",
     "compare_suites",
     "finetune_candidates",
-    "pack_into_suite",
     "recommend",
     "validate",
     "write_outputs",
@@ -183,8 +181,9 @@ def _dispatch(inst: PMedianInstance, run: RunConfig, candidates: int) -> SolveRe
             raise DataError(f"{exc} ({inst.m} of {candidates} candidate boxes "
                             "are undominated)") from None
     if run.method == "exchange":
-        start = greedy_construct(inst, np.random.default_rng(run.grasp.seed), 0.0)
-        return local_search_interchange(inst, start)
+        # GRASP's first iteration is the pure greedy plus interchange, and a
+        # one-suite elite pool has nothing to relink.
+        return solve_grasp(inst, replace(run.grasp, iterations=1))
     if run.method == "grasp":
         return solve_grasp(inst, run.grasp)
     return solve_lagrangian(inst)
@@ -382,18 +381,6 @@ class ValidationPair:
     threshold: float
 
 
-def pack_into_suite(shipments: Sequence[Shipment], suite_boxes: BoxSet,
-                    model: Optional[CostModel] = None) -> list[Optional[int]]:
-    """Cheapest fitting suite box per shipment; None when nothing fits.
-
-    Each shipment's boxes are visited in (cost, index) order until one fits
-    (``cheapest_fitting_boxes``), so no box costlier than the answer is
-    decided.
-    """
-    model = model if model is not None else InnerVolumeCost()
-    return cheapest_fitting_boxes(shipments, suite_boxes, model)
-
-
 def _validation_report(shipments: Sequence[Shipment], suite_boxes: BoxSet,
                        assignment: Sequence[Optional[int]],
                        model: CostModel) -> ValidationReport:
@@ -438,13 +425,13 @@ def validate(suite_ids: Sequence[int], boxes: BoxSet,
     relative divergence between the two sets exceeds warn_threshold is
     flagged, suggesting the suite was tuned on an unrepresentative sample.
     Each shipment goes to its cheapest fitting suite box, found by visiting
-    boxes in cost order (``pack_into_suite``); both sets are packed in one
-    call, so a carton multiset and box decided for one set is not decided
-    again for the other.
+    boxes in cost order (``cheapest_fitting_boxes``); both sets are packed in
+    one call, so a carton multiset and box decided for one set is not
+    decided again for the other.
     """
     model = model if model is not None else InnerVolumeCost()
     suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in suite_ids])
-    picks = pack_into_suite([*shipments_a, *shipments_b], suite_boxes, model)
+    picks = cheapest_fitting_boxes([*shipments_a, *shipments_b], suite_boxes, model)
     n_a = len(shipments_a)
     rep_a = _validation_report(shipments_a, suite_boxes, picks[:n_a], model)
     rep_b = _validation_report(shipments_b, suite_boxes, picks[n_a:], model)
@@ -481,7 +468,7 @@ def compare_suites(suites: Sequence[Sequence[int]], shipments: Sequence[Shipment
     """Total packing cost of each suite; reductions relative to the first.
 
     Each shipment goes to its cheapest fitting box of the suite, found by
-    visiting boxes in cost order (``pack_into_suite``).
+    visiting boxes in cost order (``cheapest_fitting_boxes``).
     A suite leaving any shipment uncovered is marked infeasible and excluded
     from the reduction column.
     """
@@ -490,7 +477,7 @@ def compare_suites(suites: Sequence[Sequence[int]], shipments: Sequence[Shipment
     base_cost: Optional[float] = None
     for ids in suites:
         suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in ids])
-        assignment = pack_into_suite(shipments, suite_boxes, model)
+        assignment = cheapest_fitting_boxes(shipments, suite_boxes, model)
         uncovered = sum(1 for j in assignment if j is None)
         total = sum(model.cost_for(shipments[i], suite_boxes.boxes[j])
                     for i, j in enumerate(assignment) if j is not None)

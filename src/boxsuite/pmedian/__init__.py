@@ -13,11 +13,10 @@ from boxsuite.pmedian.instance import (
 )
 from boxsuite.pmedian.interchange import closest_two, local_search_interchange
 from boxsuite.pmedian.kernels import active_backend
-from boxsuite.pmedian.lagrangian import LagrangianParams, dual_value, solve_lagrangian
+from boxsuite.pmedian.lagrangian import dual_value, solve_lagrangian
 
 __all__ = [
     "GraspParams",
-    "LagrangianParams",
     "PMedianInstance",
     "SolveResult",
     "Suite",

@@ -51,8 +51,7 @@ def greedy_construct(inst: PMedianInstance, rng: np.random.Generator,
     return Suite(members)
 
 
-def path_relink(inst: PMedianInstance, source: Suite, guide: Suite,
-                polish: bool = True) -> Suite:
+def path_relink(inst: PMedianInstance, source: Suite, guide: Suite) -> Suite:
     """Walk from source to guide one swap at a time, keeping the best stop.
 
     Each step inserts one guide-only facility and removes one source-only
@@ -81,10 +80,7 @@ def path_relink(inst: PMedianInstance, source: Suite, guide: Suite,
         current = sorted([x for x in current if x != a] + [b])
         if cost < best_cost - 1e-12:
             best_cost, best_members = cost, tuple(current)
-    best = Suite(best_members)
-    if polish:
-        best = local_search_interchange(inst, best).suite
-    return best
+    return local_search_interchange(inst, Suite(best_members)).suite
 
 
 class _ElitePool:

@@ -209,12 +209,15 @@ def check_feasible(result: SolveResult, gamma: float) -> Optional[Suite]:
     return result.suite
 
 
-def solve_exact(inst: PMedianInstance, max_subsets: int = 200_000,
-                max_m: int = 25) -> SolveResult:
+_EXACT_MAX_M = 25  # most facilities solve_exact enumerates over
+_EXACT_MAX_SUBSETS = 200_000  # most p-subsets solve_exact enumerates
+
+
+def solve_exact(inst: PMedianInstance) -> SolveResult:
     """Globally optimal suite by subset enumeration; first optimum in
     lexicographic order wins ties."""
     n_subsets = math.comb(inst.m, inst.p)
-    if inst.m > max_m or n_subsets > max_subsets:
+    if inst.m > _EXACT_MAX_M or n_subsets > _EXACT_MAX_SUBSETS:
         raise DataError(
             f"exact enumeration over {n_subsets} subsets (m={inst.m}) exceeds the "
             f"budget; use the interchange, GRASP, or Lagrangian solvers instead")

@@ -9,6 +9,7 @@ from boxsuite.pmedian.instance import PMedianInstance, SolveResult, Suite
 __all__ = ["closest_two", "local_search_interchange"]
 
 _REL_EPS = 1e-9
+_MAX_SWAPS = 100_000  # a safety net: each swap lowers the cost, so the search ends
 
 
 def closest_two(inst: PMedianInstance, suite: Suite):
@@ -32,14 +33,13 @@ def closest_two(inst: PMedianInstance, suite: Suite):
     return d1, d2, c1
 
 
-def local_search_interchange(inst: PMedianInstance, start: Suite,
-                             max_iters: int = 100_000) -> SolveResult:
+def local_search_interchange(inst: PMedianInstance, start: Suite) -> SolveResult:
     """Apply the best single exchange until none lowers the total cost."""
     suite = inst.suite(start.members)
     members = list(suite.members)
     mask = np.zeros(inst.m, dtype=np.bool_)
     mask[members] = True
-    for _ in range(max_iters):
+    for _ in range(_MAX_SWAPS):
         suite = Suite(members)
         d1, d2, c1 = closest_two(inst, suite)
         total = float((d1 * inst.w).sum())

@@ -1,30 +1,19 @@
 """Subgradient optimization of the Lagrangian dual for lower bounds."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from boxsuite.model import DataError
 from boxsuite.pmedian import kernels
 from boxsuite.pmedian.instance import PMedianInstance, SolveResult, Suite, suite_cost
 from boxsuite.pmedian.interchange import local_search_interchange
 
-__all__ = ["LagrangianParams", "dual_value", "solve_lagrangian"]
+__all__ = ["dual_value", "solve_lagrangian"]
 
 
+_MAX_ITERS = 1000  # subgradient iterations at most
 _THETA0 = 2.0  # the first step-size factor
 _HALVING_PATIENCE = 30  # iterations without a better bound before the factor halves
 _TARGET_GAP = 1e-4  # relative gap at which the ascent stops
-
-
-@dataclass(frozen=True)
-class LagrangianParams:
-    max_iters: int = 1000
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError("max_iters must be >= 1")
 
 
 def dual_value(inst: PMedianInstance, lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -41,8 +30,7 @@ def dual_value(inst: PMedianInstance, lam: np.ndarray) -> tuple[float, np.ndarra
     return value, open_idx
 
 
-def solve_lagrangian(inst: PMedianInstance,
-                     params: LagrangianParams | None = None) -> SolveResult:
+def solve_lagrangian(inst: PMedianInstance) -> SolveResult:
     """Lower and upper bounds via subgradient ascent on the dual.
 
     Each iteration opens the p facilities with the most negative reduced
@@ -51,8 +39,6 @@ def solve_lagrangian(inst: PMedianInstance,
     steps the multipliers along the subgradient. The returned result carries
     the best primal suite, the best dual bound, and the relative gap.
     """
-    if params is None:
-        params = LagrangianParams()
     lam = np.zeros(inst.n)
     theta = _THETA0
     best_lb = -np.inf
@@ -61,7 +47,7 @@ def solve_lagrangian(inst: PMedianInstance,
     stall = 0
     trace: list[tuple[float, float]] = []
 
-    for _ in range(params.max_iters):
+    for _ in range(_MAX_ITERS):
         value, open_idx = dual_value(inst, lam)
         if value > best_lb + 1e-12:
             best_lb = value
@@ -106,8 +92,6 @@ def solve_lagrangian(inst: PMedianInstance,
 
         denom = max(abs(best_ub), 1.0)
         if best_ub - best_lb <= _TARGET_GAP * denom:
-            break
-        if best_ub - best_lb <= 1e-9 * max(1.0, abs(best_ub)):
             break
 
         step = theta * (best_ub - value) / norm_sq

@@ -1,7 +1,7 @@
 import random
 
 from boxsuite.fitmatrix import FitScanConfig, _ShipmentScanner, compute_nest_sets
-from boxsuite.fitting import FitProblem
+from boxsuite.fitting import FitProblem, carton_key
 from boxsuite.model import BoxSet, CandidateBox, Carton, Dims3, Shipment
 
 
@@ -30,7 +30,8 @@ def one_box_scanner(box: Dims3) -> _ShipmentScanner:
 
 def passes_necessity(cartons, box: Dims3) -> bool:
     """The scan's per-carton necessity screen for ``cartons`` in ``box``."""
-    return bool(one_box_scanner(box)._necessity(cartons)[1][0])
+    keys = tuple(sorted(map(carton_key, cartons)))
+    return bool(one_box_scanner(box)._necessity(keys)[1][0])
 
 
 def five_to_seven_carton_world(seed):

@@ -29,7 +29,6 @@ from boxsuite.model import enumerate_box_grid, load_boxes, load_shipments
 from boxsuite.pipeline import RunConfig, recommend
 from boxsuite.pmedian import (
     GraspParams,
-    LagrangianParams,
     PMedianInstance,
     Suite,
     dual_value,
@@ -38,7 +37,7 @@ from boxsuite.pmedian import (
     solve_grasp,
     solve_lagrangian,
 )
-from conftest import one_box_scanner
+from conftest import one_box_scanner, passes_necessity
 from test_pipeline import covering_optimum
 
 TEN_SECONDS = SolverConfig(time_limit=10.0)
@@ -131,7 +130,7 @@ def test_criterion_3_fast_path_soundness():
         assert not v.timed_out
         # The scan's own screens, on a set of just the declared box.
         scanner = one_box_scanner(prob.box)
-        if not scanner._necessity(prob.cartons)[1][0]:
+        if not passes_necessity(prob.cartons, prob.box):
             necessity_hits += 1
             if v.outcome is not Outcome.NO_FIT:
                 violations += 1
@@ -188,7 +187,7 @@ def test_criterion_5_lagrangian_sandwich():
     solved = _PM_CACHE.get("solved") or _solve_pmedian_corpus()
     holds = 0
     for inst, ex, gr in solved:
-        lg = solve_lagrangian(inst, LagrangianParams())
+        lg = solve_lagrangian(inst)
         tol = 1e-9 * max(1.0, abs(ex.cost))
         assert lg.gap is not None and lg.gap >= 0.0
         v0, _ = dual_value(inst, np.zeros(inst.n))
@@ -241,7 +240,7 @@ def test_criterion_7_desk_scale_pipeline():
     assert locked.feasible and lock in locked.box_ids
     assert 0.0 < free.report.pct_void_total < 100.0
     print(f"\nPASS criterion 7: {len(boxes.boxes)}-box grid, "
-          f"{packables.I_hat}/300 packable, both runs in {elapsed:.1f}s, "
+          f"{len(packables.W)}/300 packable, both runs in {elapsed:.1f}s, "
           f"shipment percentages sum {pct_sum:.3f}, suite void "
           f"{free.report.pct_void_total:.2f}%")
 
@@ -255,7 +254,7 @@ def test_criterion_8_public_dataset_replication():
     threads = int(os.environ.get("BOXSUITE_THREADS", "1"))
     fitm, packables = compute_fit_matrix(
         shipments, boxes, cfg=FitScanConfig(threads=threads))
-    assert abs(packables.I_hat - 14888) <= 25
+    assert abs(len(packables.W) - 14888) <= 25
 
     expected = {(): 26_917_098.0, (958,): 27_224_072.0, (958, 1918): 27_370_900.0}
     for locks, target in expected.items():
@@ -268,5 +267,5 @@ def test_criterion_8_public_dataset_replication():
                             shipments, boxes, fit=fitm)
         assert bounded.feasible and bounded.result.gap is not None
         assert bounded.result.gap <= 0.025
-    print(f"\nPASS criterion 8: {packables.I_hat} packable shipments, all "
+    print(f"\nPASS criterion 8: {len(packables.W)} packable shipments, all "
           f"three suite totals within 2% and gaps within 2.5%")

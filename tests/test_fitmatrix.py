@@ -152,7 +152,7 @@ def test_oversized_shipment_excluded():
     ship = make_shipment(1, [(9, 9, 9)])
     mat, packs = compute_fit_matrix([ship], boxes)
     assert mat.rows[0] == ()
-    assert packs.W == () and packs.I_hat == 0
+    assert packs.W == ()
 
 
 def test_rows_closed_under_nesting_and_volume():
@@ -764,7 +764,7 @@ def test_csr_accessors_and_fitting_boxes_view():
     assert [j in mat.rows[0] for j in range(5)] == [False, True, False, True, False]
     assert not any(j in mat.rows[1] for j in range(5))
     packs = mat.packables()
-    assert packs.W == (0, 2, 3) and packs.I_hat == 3
+    assert packs.W == (0, 2, 3)
     assert {i: tuple(mat.row(i).tolist()) for i in packs.W} == {0: (1, 3), 2: (4,), 3: (0, 2)}
     assert mat.row(1).size == 0 and 1 not in packs.W and 7 not in packs.W
     with pytest.raises(DataError):

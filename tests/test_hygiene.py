@@ -1,14 +1,20 @@
 """Source hygiene, checked with the standard library's ``ast`` only: no module
 under ``src/`` or ``tests/`` imports a name it never uses, and every package
 ``__init__`` lists each name it imports in ``__all__``. Also: importing the
-package loads no process-pool machinery."""
+package loads no process-pool machinery, and README.md and the CLI parser
+name the same flags."""
+import argparse
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from boxsuite.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
@@ -102,3 +108,63 @@ def test_importing_the_package_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _parser_options() -> dict[str, set[str]]:
+    """Option strings of the top-level parser (key "") and of each
+    subcommand, help options aside."""
+    def options(parser: argparse.ArgumentParser) -> set[str]:
+        return {opt for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+                for opt in action.option_strings}
+
+    parser = build_parser()
+    found = {"": options(parser)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            found.update((name, options(sub)) for name, sub in action.choices.items())
+    return found
+
+
+def _readme_command_lines(text: str) -> list[str]:
+    """Every ``boxsuite ...`` command line in README.md: those in code blocks
+    (joined across trailing backslashes) and those in inline code spans."""
+    lines, in_block, pending = [], False, ""
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and (pending or line.startswith("boxsuite ")):
+            pending += line.strip()
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+            else:
+                lines.append(pending)
+                pending = ""
+    return lines + re.findall(r"`(boxsuite [^`]*)`", text)
+
+
+def test_readme_documents_every_cli_flag():
+    readme = (ROOT / "README.md").read_text()
+    missing = sorted(f"{command or 'boxsuite'} {opt}"
+                     for command, opts in _parser_options().items() for opt in opts
+                     if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme))
+    assert not missing, f"README.md does not mention these CLI flags: {missing}"
+
+
+def test_readme_command_lines_use_only_real_flags():
+    options = _parser_options()
+    every = set().union(*options.values())
+    command_lines = _readme_command_lines((ROOT / "README.md").read_text())
+    assert len(command_lines) >= 6  # the walkthrough's six commands at least
+    unknown = []
+    for line in command_lines:
+        command = None
+        for token in shlex.split(line)[1:]:
+            if not token.startswith("-"):
+                command = command or token
+                continue
+            flag = token.partition("=")[0]
+            allowed = options[""] if command is None else options.get(command, every)
+            if flag not in allowed:
+                unknown.append(f"{flag} in {line!r}")
+    assert not unknown, f"README.md uses flags the CLI does not accept: {unknown}"

@@ -2,12 +2,14 @@
 import collections
 import itertools
 import json
+import random
 
+import numpy as np
 import pytest
 
 from boxsuite import fitmatrix
-from boxsuite.cost import BoxTableCost
-from boxsuite.fitmatrix import compute_fit_matrix
+from boxsuite.cost import BoxTableCost, InnerVolumeCost, PairTableCost, build_cost_matrix
+from boxsuite.fitmatrix import cheapest_fitting_boxes, compute_fit_matrix
 from boxsuite.fitting import solve_fit
 from boxsuite.model import BoxSet, CandidateBox, Carton, DataError, Dims3, Shipment
 from boxsuite.pipeline import (
@@ -15,9 +17,14 @@ from boxsuite.pipeline import (
     RunConfig,
     compare_suites,
     finetune_candidates,
-    pack_into_suite,
     recommend,
     validate,
+)
+from boxsuite.pmedian import (
+    PMedianInstance,
+    drop_dominated_columns,
+    greedy_construct,
+    local_search_interchange,
 )
 
 
@@ -228,6 +235,47 @@ class TestRecommend:
         assert runs[0].box_ids == runs[1].box_ids
         assert runs[0].result.cost == runs[1].result.cost
 
+    def test_exchange_is_greedy_plus_interchange(self):
+        # Orders come in kinds that share cartons and pair costs, so equal
+        # rows merge into weighted ones; costs are small integers, so the
+        # greedy and the swaps meet ties. The reference solves the instance
+        # the solver sees (distinct rows, undominated boxes) by hand.
+        solved = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            boxes = BoxSet([CandidateBox(id=j + 1, inner=Dims3(*(rng.randint(2, 7)
+                                                                 for _ in range(3))))
+                            for j in range(rng.randint(8, 14))])
+            kinds = [tuple(Carton(Dims3(*(rng.randint(1, 4) for _ in range(3))))
+                           for _ in range(rng.choice((1, 1, 2))))
+                     for _ in range(rng.randint(5, 10))]
+            kind_costs = [{bx.id: float(rng.randint(1, 4)) for bx in boxes}
+                          for _ in kinds]
+            shipments, table = [], {}
+            for sid in range(1, rng.randint(15, 40)):
+                k = rng.randrange(len(kinds))
+                shipments.append(Shipment(id=sid, cartons=kinds[k]))
+                table.update({(sid, bid): c for bid, c in kind_costs[k].items()})
+            model = PairTableCost(table)
+            p = rng.randint(2, 4)
+            locked = (boxes.boxes[-1].id,) if seed % 3 == 0 else ()
+            out = recommend(RunConfig(p=p, locked_ids=locked, model=model,
+                                      method="exchange"), shipments, boxes)
+
+            locked_boxes = boxes.with_locked_ids(locked)
+            fit, _ = compute_fit_matrix(shipments, locked_boxes)
+            cm = build_cost_matrix(shipments, fit, locked_boxes, model=model,
+                                   locked=locked_boxes.locked)
+            reduced, kept = drop_dominated_columns(PMedianInstance(cm.C, p, cm.w))
+            if len(kept) <= p:
+                continue  # no solver runs
+            start = greedy_construct(reduced, np.random.default_rng(0), 0.0)
+            ref = local_search_interchange(reduced, start)
+            assert out.result.suite.members == tuple(sorted(kept[list(ref.suite.members)]))
+            assert out.result.cost == ref.cost
+            solved += 1
+        assert solved >= 50
+
 
 class TestValidate:
     def test_identical_sets_identical_reports(self, tiny):
@@ -255,7 +303,7 @@ class TestValidate:
     def test_pack_prefers_cheapest_fitting_box(self, tiny):
         boxes, shipments = tiny
         suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in (2, 3, 4)])
-        assignment = pack_into_suite(shipments, suite_boxes)
+        assignment = cheapest_fitting_boxes(shipments, suite_boxes, InnerVolumeCost())
         # each shipment lands in the smallest box it fits
         vols = [suite_boxes.boxes[j].volume for j in assignment]
         assert vols == [12.0, 12.0, 24.0]
@@ -264,7 +312,7 @@ class TestValidate:
         boxes, shipments = tiny
         suite_boxes = BoxSet([boxes.boxes[boxes.index_of(i)] for i in (2, 3)])
         flipped = BoxTableCost({2: 100.0, 3: 1.0})
-        assignment = pack_into_suite(shipments, suite_boxes, model=flipped)
+        assignment = cheapest_fitting_boxes(shipments, suite_boxes, flipped)
         # box 3 is now cheaper wherever it fits
         assert assignment == [1, 1, 1]
 

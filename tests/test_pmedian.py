@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from boxsuite.model import DataError
 from boxsuite.pmedian import (
     GraspParams,
-    LagrangianParams,
     PMedianInstance,
     Suite,
     check_feasible,
@@ -567,7 +566,7 @@ class TestLagrangian:
             p = int(rng.integers(1, m))
             inst = PMedianInstance(rng.uniform(1.0, 100.0, size=(n, m)), p=p)
             ex = solve_exact(inst)
-            res = solve_lagrangian(inst, LagrangianParams(max_iters=400))
+            res = solve_lagrangian(inst)
             assert res.lower_bound <= ex.cost + 1e-8
             assert res.cost >= ex.cost - 1e-8
             assert res.gap >= 0.0
